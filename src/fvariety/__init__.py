@@ -32,7 +32,6 @@ from .divergence import (
 )
 from .estimation import (
     GroupComparison,
-    Observation,
     SampleSet,
     compare_groups_equalized,
     empirical_f_variety,
@@ -72,7 +71,6 @@ __all__ = [
     "HELLINGER",
     "JointDistribution",
     "KL",
-    "Observation",
     "PEARSON",
     "PRESETS",
     "PopulationModel",

@@ -101,12 +101,7 @@ def make_joint(
     Tables whose total is within 1e-9 of 1 are renormalized to sum
     exactly 1; larger deviations raise :class:`NotNormalized`.
     """
-    mass = np.asarray(mass_table, dtype=np.float64)
-    if mass.ndim != 2 or mass.shape != (n_choices, n_bins):
-        raise BadShape(
-            f"mass table has shape {mass.shape}, expected ({n_choices}, {n_bins})"
-        )
-    return JointDistribution(n_choices=n_choices, n_bins=n_bins, mass=mass)
+    return JointDistribution(n_choices=n_choices, n_bins=n_bins, mass=mass_table)
 
 
 def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:

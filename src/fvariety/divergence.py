@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import JointDistribution, uninformative_projection
+from .distributions import JointDistribution
 from .errors import InvalidGenerator, LengthMismatch, NotAProbability, NotBinary
 
 _PROBABILITY_SLACK = 1e-9
@@ -156,18 +156,29 @@ def f_divergence(
     return float(pointwise_contributions(p, q, kind).sum())
 
 
+def _variety_stack(mass: np.ndarray, kind: DivergenceKind) -> np.ndarray:
+    """Variety of every normalized (C, B) table in a ``(..., C, B)`` stack.
+
+    Repeats the arithmetic of :func:`uninformative_projection` (column
+    sums over choices, divided by C, tiled, renormalized by the float
+    total), so each table scores bit-identically to a lone table.
+    """
+    n_choices = mass.shape[-2]
+    column = mass.sum(axis=-2, keepdims=True) / n_choices
+    projected = np.repeat(column, n_choices, axis=-2)
+    projected = projected / projected.sum(axis=(-2, -1), keepdims=True)
+    values = pointwise_contributions(mass, projected, kind).sum(axis=(-2, -1))
+    assert np.all(np.isfinite(values)), "projection pairing must give finite values"
+    return values
+
+
 def f_variety(dist: JointDistribution, kind: DivergenceKind) -> float:
     """Divergence from ``dist`` to its uninformative projection.
 
     Finite for every generator: a projection cell is zero only where the
     whole prediction column is zero, so the p > 0 = q branch cannot occur.
     """
-    projected = uninformative_projection(dist)
-    value = float(
-        pointwise_contributions(dist.mass.ravel(), projected.mass.ravel(), kind).sum()
-    )
-    assert math.isfinite(value), "projection pairing must give a finite divergence"
-    return value
+    return float(_variety_stack(dist.mass, kind))
 
 
 def tvd_variety_binary_closed_form(dist: JointDistribution) -> float:

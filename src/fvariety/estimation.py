@@ -11,61 +11,123 @@ error bar on exactly one side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, NamedTuple
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
 from .distributions import JointDistribution
-from .divergence import DivergenceKind, f_variety
+from .divergence import DivergenceKind, _variety_stack, f_variety
 from .errors import BadShape, EmptySampleSet
 from .sampling import RandomStream
 
+# Prediction options 0%, 10%, ..., 100%.
+N_PREDICTION_BINS = 11
 
-class Observation(NamedTuple):
-    """One respondent's answer to one question."""
+# Relative spread below which trial values are one value up to round-off.
+_ROUND_OFF = 1e-12
 
-    choice: int
-    prediction: int
-    respondent_id: Hashable | None = None
-    question_id: Hashable | None = None
+# Count tables per stacked kernel call: 256 tables of 2 x 11 cells keep
+# the kernel's dozen temporaries within ~0.5 MB.
+_KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Observations plus the (n_choices, n_bins) shape they live in."""
+    """Observations as parallel columns plus the (n_choices, n_bins) shape.
+
+    ``choices[i]`` and ``bins[i]`` are observation i's choice index and
+    prediction bin; ``respondent_ids``, when given, names the respondent
+    behind each observation.  The arrays are read-only intp copies.
+    """
 
     n_choices: int
     n_bins: int
-    observations: tuple[Observation, ...]
+    choices: np.ndarray
+    bins: np.ndarray
+    respondent_ids: Sequence[Hashable] | None = None
 
     def __post_init__(self) -> None:
         if self.n_choices < 2 or self.n_bins < 1:
             raise BadShape(
                 f"sample shape ({self.n_choices}, {self.n_bins}) is invalid"
             )
-        for obs in self.observations:
-            if not (0 <= obs.choice < self.n_choices):
-                raise BadShape(f"choice {obs.choice} outside [0, {self.n_choices})")
-            if not (0 <= obs.prediction < self.n_bins):
+        choices = np.array(self.choices, dtype=np.intp).reshape(-1)
+        bins = np.array(self.bins, dtype=np.intp).reshape(-1)
+        if len(choices) != len(bins):
+            raise BadShape(f"{len(choices)} choices but {len(bins)} prediction bins")
+        bad = (choices < 0) | (choices >= self.n_choices)
+        if np.any(bad):
+            raise BadShape(
+                f"choice {choices[bad][0]} outside [0, {self.n_choices})"
+            )
+        bad = (bins < 0) | (bins >= self.n_bins)
+        if np.any(bad):
+            raise BadShape(f"prediction bin {bins[bad][0]} outside [0, {self.n_bins})")
+        if self.respondent_ids is not None:
+            ids = tuple(self.respondent_ids)
+            if len(ids) != len(choices):
                 raise BadShape(
-                    f"prediction bin {obs.prediction} outside [0, {self.n_bins})"
+                    f"{len(ids)} respondent ids for {len(choices)} observations"
                 )
-        object.__setattr__(self, "observations", tuple(self.observations))
+            object.__setattr__(self, "respondent_ids", ids)
+        choices.flags.writeable = False
+        bins.flags.writeable = False
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "bins", bins)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.choices)
 
-    def respondent_units(self) -> list[tuple[Hashable, np.ndarray]]:
-        """Respondents in first-appearance order with their observation indices.
+    def count_table(self) -> np.ndarray:
+        """(n_choices, n_bins) table of observation counts."""
+        cells = self.choices * self.n_bins + self.bins
+        counts = np.bincount(cells, minlength=self.n_choices * self.n_bins)
+        return counts.reshape(self.n_choices, self.n_bins)
 
-        Observations without a respondent id each count as their own
-        respondent, so subsampling falls back to the observation level.
+    def respondent_units(self) -> tuple[np.ndarray, int]:
+        """Unit number of every observation, and the number of units.
+
+        Units number respondents in first-appearance order.  Without
+        respondent ids each observation is its own respondent, so
+        subsampling falls back to the observation level.
         """
-        order: dict[Hashable, list[int]] = {}
-        for i, obs in enumerate(self.observations):
-            key: Hashable = ("#anon", i) if obs.respondent_id is None else obs.respondent_id
-            order.setdefault(key, []).append(i)
-        return [(rid, np.array(idx, dtype=np.intp)) for rid, idx in order.items()]
+        if self.respondent_ids is None:
+            return np.arange(len(self), dtype=np.intp), len(self)
+        first: dict[Hashable, int] = {}
+        units = [first.setdefault(rid, len(first)) for rid in self.respondent_ids]
+        return np.array(units, dtype=np.intp), len(first)
+
+
+def _count_varieties(counts: np.ndarray, kind: DivergenceKind) -> np.ndarray:
+    """Empirical variety of every count table in a ``(trials, C, B)`` stack.
+
+    Each table is normalized as :func:`empirical_joint` stores it: divided
+    by n, then by its float total, as :class:`JointDistribution` does.
+    Tables are scored ``_KERNEL_BLOCK`` at a time, so the kernel's
+    temporaries stay in cache and do not grow with the trial count.
+    """
+    values = []
+    for start in range(0, len(counts), _KERNEL_BLOCK):
+        block = counts[start:start + _KERNEL_BLOCK]
+        mass = block / block.sum(axis=(-2, -1), keepdims=True)
+        values.append(
+            _variety_stack(mass / mass.sum(axis=(-2, -1), keepdims=True), kind)
+        )
+    return np.concatenate(values)
+
+
+def _trial_std(values: np.ndarray) -> float:
+    """Sample std of trial values; exactly 0 when they agree to round-off.
+
+    Different count tables can score the same value along different
+    rounding paths, a few ulps apart, and the float mean of equal values
+    need not equal them; either leaves a std of order 1e-16.  A spread
+    within ``_ROUND_OFF`` of the largest value counts as one value, which
+    moves a reported std by at most that much.
+    """
+    if len(values) < 2 or np.ptp(values) <= _ROUND_OFF * np.max(np.abs(values)):
+        return 0.0
+    return float(values.std(ddof=1))
 
 
 def empirical_joint(samples: SampleSet) -> JointDistribution:
@@ -73,12 +135,10 @@ def empirical_joint(samples: SampleSet) -> JointDistribution:
     n = len(samples)
     if n == 0:
         raise EmptySampleSet("cannot estimate a distribution from no observations")
-    counts = np.zeros((samples.n_choices, samples.n_bins))
-    choices = np.fromiter((o.choice for o in samples.observations), np.intp, count=n)
-    bins = np.fromiter((o.prediction for o in samples.observations), np.intp, count=n)
-    np.add.at(counts, (choices, bins), 1.0)
     return JointDistribution(
-        n_choices=samples.n_choices, n_bins=samples.n_bins, mass=counts / n
+        n_choices=samples.n_choices,
+        n_bins=samples.n_bins,
+        mass=samples.count_table() / n,
     )
 
 
@@ -125,7 +185,6 @@ class GroupComparison:
 
 def _subsampled_values(
     samples: SampleSet,
-    units: list[tuple[Hashable, np.ndarray]],
     size: int,
     kind: DivergenceKind,
     trials: int,
@@ -134,29 +193,25 @@ def _subsampled_values(
     """Metric over ``trials`` without-replacement respondent subsamples.
 
     Each trial uses its own derived stream, so values do not depend on
-    evaluation order.
+    evaluation order.  A trial's count table is the sum of its picked
+    rows of the per-respondent count matrix, taken as a 0/1 pick vector
+    times that matrix; the counts are integers, so the float product is
+    exact.
     """
-    counts_base = np.zeros((samples.n_choices, samples.n_bins))
-    choices = np.fromiter(
-        (o.choice for o in samples.observations), np.intp, count=len(samples)
-    )
-    bins = np.fromiter(
-        (o.prediction for o in samples.observations), np.intp, count=len(samples)
-    )
-    values = np.empty(trials)
-    n_units = len(units)
+    units, n_units = samples.respondent_units()
+    n_cells = samples.n_choices * samples.n_bins
+    cells = samples.choices * samples.n_bins + samples.bins
+    per_unit = np.bincount(units * n_cells + cells, minlength=n_units * n_cells)
+    per_unit = per_unit.reshape(n_units, n_cells).astype(np.float64)
+    counts = np.empty((trials, n_cells))
     for t in range(trials):
         rng = stream.spawn("subsample-trial", t).generator
-        picked = rng.choice(n_units, size=size, replace=False)
-        idx = np.concatenate([units[u][1] for u in picked])
-        counts = counts_base.copy()
-        np.add.at(counts, (choices[idx], bins[idx]), 1.0)
-        dist = JointDistribution(
-            n_choices=samples.n_choices, n_bins=samples.n_bins,
-            mass=counts / counts.sum(),
-        )
-        values[t] = f_variety(dist, kind)
-    return values
+        picked = np.zeros(n_units)
+        picked[rng.choice(n_units, size=size, replace=False)] = 1.0
+        counts[t] = picked @ per_unit
+    return _count_varieties(
+        counts.reshape(trials, samples.n_choices, samples.n_bins), kind
+    )
 
 
 def compare_groups_equalized(
@@ -180,24 +235,18 @@ def compare_groups_equalized(
     if stream is None:
         stream = RandomStream(0)
 
-    units_a = group_a.respondent_units()
-    units_b = group_b.respondent_units()
-    if len(units_a) <= len(units_b):
-        small, small_units = group_a, units_a
-        large, large_units = group_b, units_b
-    else:
-        small, small_units = group_b, units_b
-        large, large_units = group_a, units_a
+    size_a = group_a.respondent_units()[1]
+    size_b = group_b.respondent_units()[1]
+    small, large = (group_a, group_b) if size_a <= size_b else (group_b, group_a)
 
-    size = len(small_units)
+    size = min(size_a, size_b)
     once = empirical_f_variety(small, kind)
-    values = _subsampled_values(large, large_units, size, kind, trials, stream)
-    std = float(values.std(ddof=1)) if trials > 1 else 0.0
+    values = _subsampled_values(large, size, kind, trials, stream)
     return GroupComparison(
         metric_name=kind.name,
         group_a_value=once,
         group_b_mean=float(values.mean()),
-        group_b_std=std,
+        group_b_std=_trial_std(values),
         trials=trials,
         subsample_size=size,
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .divergence import f_variety, get_kind
 from .errors import ConfigError, IoError
-from .estimation import empirical_f_variety
+from .estimation import N_PREDICTION_BINS, _count_varieties, _trial_std
 from .sampling import RandomStream
 from .synthesis import (
     PopulationModel,
@@ -90,11 +90,14 @@ def _run_point(args: tuple[SweepConfig, str, int, int]) -> tuple[float, float]:
     kind = get_kind(kind_name)
     model = config.resolve_model().with_ratio(config.ratios[ratio_index])
     root = RandomStream(config.base_seed)
-    values = np.empty(config.trials_per_point)
+    counts = np.empty(
+        (config.trials_per_point, model.n_choices, N_PREDICTION_BINS), dtype=np.intp
+    )
     for t in range(config.trials_per_point):
         stream = root.spawn(kind_name, ratio_index, n, t)
-        values[t] = empirical_f_variety(draw_samples(model, n, stream), kind)
-    return float(values.mean()), float(values.std(ddof=1))
+        counts[t] = draw_samples(model, n, stream).count_table()
+    values = _count_varieties(counts, kind)
+    return float(values.mean()), _trial_std(values)
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:

@@ -65,24 +65,16 @@ def generate_two_group_survey(
             drawn = draw_samples(
                 group_model, n_per_group, root.spawn("question", qi, value)
             )
-            tagged = tuple(
-                obs._replace(respondent_id=f"{prefix}{i + 1:04d}", question_id=qid)
-                for i, obs in enumerate(drawn.observations)
-            )
+            ids = [f"{prefix}{i + 1:04d}" for i in range(n_per_group)]
             samples[(qid, value)] = SampleSet(
                 n_choices=drawn.n_choices,
                 n_bins=drawn.n_bins,
-                observations=tagged,
+                choices=drawn.choices,
+                bins=drawn.bins,
+                respondent_ids=ids,
             )
-            for obs in tagged:
-                response_rows.append(
-                    (
-                        obs.respondent_id,
-                        qid,
-                        CHOICE_LABELS[obs.choice],
-                        obs.prediction * 10,
-                    )
-                )
+            for rid, choice, b in zip(ids, drawn.choices.tolist(), drawn.bins.tolist()):
+                response_rows.append((rid, qid, CHOICE_LABELS[choice], b * 10))
 
     responses_path = os.path.join(out_dir, "responses.csv")
     respondents_path = os.path.join(out_dir, "respondents.csv")

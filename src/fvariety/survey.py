@@ -24,15 +24,13 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
+    N_PREDICTION_BINS,
     GroupComparison,
-    Observation,
     SampleSet,
     compare_groups_equalized,
     empirical_joint,
 )
 from .sampling import RandomStream
-
-N_PREDICTION_BINS = 11
 
 RESPONSES_HEADER = ("respondent_id", "question_id", "choice", "prediction_pct")
 
@@ -77,7 +75,8 @@ class SurveyDataset:
 
 def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """CSV rows as (line number, fields), header separated out."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader]
     rows = [(ln, row) for ln, row in rows if row]
@@ -233,14 +232,16 @@ def extract_samples(
 ) -> SampleSet:
     """Sample set of one question's answers from the filtered respondents.
 
-    Respondent ids ride along on every observation so group comparisons
+    Respondent ids ride along with the observations so group comparisons
     can subsample by respondent.
     """
     question = dataset.question(question_id)
     if respondent_filter is not None:
         respondent_filter.validate_against(dataset)
     index = {label: i for i, label in enumerate(question.options)}
-    observations = []
+    choices: list[int] = []
+    bins: list[int] = []
+    respondent_ids: list[str] = []
     for resp in dataset.responses:
         if resp.question_id != question_id:
             continue
@@ -248,22 +249,19 @@ def extract_samples(
             dataset.respondents[resp.respondent_id]
         ):
             continue
-        observations.append(
-            Observation(
-                choice=index[resp.choice],
-                prediction=resp.prediction_pct // 10,
-                respondent_id=resp.respondent_id,
-                question_id=question_id,
-            )
-        )
-    if not observations:
+        choices.append(index[resp.choice])
+        bins.append(resp.prediction_pct // 10)
+        respondent_ids.append(resp.respondent_id)
+    if not choices:
         raise EmptyGroup(
             f"no observations for question {question_id!r} under the given filter"
         )
     return SampleSet(
         n_choices=question.n_choices,
         n_bins=N_PREDICTION_BINS,
-        observations=tuple(observations),
+        choices=choices,
+        bins=bins,
+        respondent_ids=respondent_ids,
     )
 
 
@@ -415,7 +413,7 @@ def analyze(
     for qid in question_ids:
         samples_a = extract_samples(dataset, qid, filter_a)
         joint_a = empirical_joint(samples_a)
-        n_a = len(samples_a.respondent_units())
+        n_a = samples_a.respondent_units()[1]
         variety_a = f_variety(joint_a, kind)
         baseline_a = _maybe_baseline(joint_a)
         if filter_b is None:
@@ -431,7 +429,7 @@ def analyze(
             continue
         samples_b = extract_samples(dataset, qid, filter_b)
         joint_b = empirical_joint(samples_b)
-        n_b = len(samples_b.respondent_units())
+        n_b = samples_b.respondent_units()[1]
         comparison = compare_groups_equalized(
             samples_a, samples_b, kind, trials=trials, stream=stream.spawn("q", qid)
         )

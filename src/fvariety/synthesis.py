@@ -23,12 +23,10 @@ import numpy as np
 from .distributions import JointDistribution
 from .divergence import DivergenceKind, f_variety, pointwise_contributions
 from .errors import BadShape, BadWeights, DomainError
-from .estimation import Observation, SampleSet
+from .estimation import N_PREDICTION_BINS, SampleSet
 from .quadrature import adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
 from .special import beta_pdf, regularized_incomplete_beta
-
-N_PREDICTION_BINS = 11
 
 # Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
 BIN_EDGES = np.concatenate(([0.0], np.arange(N_PREDICTION_BINS - 1) / 10 + 0.05, [1.0]))
@@ -270,10 +268,9 @@ def draw_samples(
         params = model.expert_prediction[c]
         predictions[mask] = rng.beta(params.alpha, params.beta, size=int(mask.sum()))
 
-    bins = _discretize_array(predictions)
-    observations = tuple(
-        Observation(choice=int(c), prediction=int(b)) for c, b in zip(choices, bins)
-    )
     return SampleSet(
-        n_choices=model.n_choices, n_bins=N_PREDICTION_BINS, observations=observations
+        n_choices=model.n_choices,
+        n_bins=N_PREDICTION_BINS,
+        choices=choices,
+        bins=_discretize_array(predictions),
     )

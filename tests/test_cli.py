@@ -92,6 +92,17 @@ class TestSimulate:
         assert lines[0] == "kind,ratio,n,mean,std,theory_cont,theory_disc"
         assert len(lines) == 3
 
+    def test_identical_trial_values_report_exact_zero_std(self, tmp_path):
+        # at n=10 and no noise both kl trials score 0.8 ln 2, a few ulps
+        # apart; that round-off must not be written as a std of ~1e-16
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--preset", "uniform-1", "--divergence", "kl",
+                     "--trials", "2", "--sizes", "10", "--ratios", "0,1",
+                     "--out", str(out)]) == 0
+        first = out.read_text().splitlines()[1].split(",")
+        assert first[:3] == ["kl", "0", "10"]
+        assert first[4] == "0"
+
     def test_json_by_extension(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(self.ARGS + ["--out", str(out)]) == 0

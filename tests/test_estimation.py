@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fvariety import (
-    Observation,
     RandomStream,
     SampleSet,
     TVD,
@@ -18,15 +17,13 @@ from fvariety.errors import BadShape, EmptySampleSet
 
 
 def sample_set(pairs, n_choices=2, n_bins=11, respondents=None):
-    observations = tuple(
-        Observation(
-            choice=c,
-            prediction=b,
-            respondent_id=None if respondents is None else respondents[i],
-        )
-        for i, (c, b) in enumerate(pairs)
+    return SampleSet(
+        n_choices=n_choices,
+        n_bins=n_bins,
+        choices=[c for c, _ in pairs],
+        bins=[b for _, b in pairs],
+        respondent_ids=respondents,
     )
-    return SampleSet(n_choices=n_choices, n_bins=n_bins, observations=observations)
 
 
 class TestEmpiricalJoint:

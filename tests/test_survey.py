@@ -54,7 +54,7 @@ class TestLoadSurvey:
         assert len(dataset.respondents) == 3
         samples = extract_samples(dataset, "Q1")
         assert len(samples) == 3
-        assert samples.observations[0].prediction == 7
+        assert samples.bins[0] == 7
 
     def test_prediction_off_grid_rejected(self, tmp_path):
         paths = write_survey(tmp_path, ["r1,Q1,cat,55"], ["r1,yes"])
@@ -93,6 +93,20 @@ class TestLoadSurvey:
         with pytest.raises(ParseError, match="header"):
             load_survey(str(responses), str(respondents))
 
+    def test_byte_order_marks_are_skipped(self, tmp_path):
+        # spreadsheet exports prefix the header with a UTF-8 BOM
+        paths = write_survey(tmp_path, ["r1,Q1,cat,50", "r2,Q1,dog,20"],
+                             ["r1,yes", "r2,no"])
+        for path in paths:
+            with open(path, "rb") as fh:
+                body = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(b"\xef\xbb\xbf" + body)
+        dataset = load_survey(*paths)
+        assert set(dataset.respondents) == {"r1", "r2"}
+        assert dataset.attribute_names() == {"watches"}
+        assert len(extract_samples(dataset, "Q1")) == 2
+
     def test_duplicate_respondent_rejected(self, tmp_path):
         paths = write_survey(tmp_path, ["r1,Q1,cat,50"], ["r1,yes", "r1,no"])
         with pytest.raises(ValidationError, match="duplicate respondent"):
@@ -126,7 +140,7 @@ class TestFilters:
         samples = extract_samples(
             dataset, "Q1", RespondentFilter.parse("watches=yes")
         )
-        assert {o.respondent_id for o in samples.observations} == {"r1", "r2"}
+        assert set(samples.respondent_ids) == {"r1", "r2"}
 
     def test_absent_attribute_rejected(self, tiny_survey):
         dataset = load_survey(*tiny_survey)
