@@ -31,7 +31,7 @@ from .sampling import RandomStream
 from .survey import RespondentFilter, analyze, load_survey
 from .synthesis import (
     PopulationModel,
-    continuous_f_variety,
+    _continuous_varieties,
     exact_discretized_joint,
     get_preset,
 )
@@ -67,12 +67,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_theoretical(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    for name in args.divergence.split(","):
-        kind = get_kind(name.strip())
-        cont = continuous_f_variety(model, kind, tol=args.tol)
-        disc = f_variety(exact_discretized_joint(model), kind)
+    kinds = [get_kind(name.strip()) for name in args.divergence.split(",")]
+    joint = exact_discretized_joint(model)
+    for kind, cont in zip(kinds, _continuous_varieties(model, kinds, tol=args.tol)):
         print(f"{kind.name} continuous {cont:.12g}")
-        print(f"{kind.name} discretized {disc:.12g}")
+        print(f"{kind.name} discretized {f_variety(joint, kind):.12g}")
     return EXIT_OK
 
 

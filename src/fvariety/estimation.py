@@ -226,7 +226,8 @@ def compare_groups_equalized(
     The smaller group's metric is computed once on everything it has; the
     larger group is subsampled without replacement to the same respondent
     count ``trials`` times.  When sizes are equal the argument order is
-    kept, and the subsample is the whole group, so the std is 0.
+    kept, and every subsample is the whole group, so the larger group's
+    mean is its own full-sample value and the std is exactly 0.
     """
     if len(group_a) == 0 or len(group_b) == 0:
         raise EmptySampleSet("both groups need at least one observation")
@@ -241,12 +242,16 @@ def compare_groups_equalized(
 
     size = min(size_a, size_b)
     once = empirical_f_variety(small, kind)
-    values = _subsampled_values(large, size, kind, trials, stream)
+    if size_a == size_b:
+        mean, std = empirical_f_variety(large, kind), 0.0
+    else:
+        values = _subsampled_values(large, size, kind, trials, stream)
+        mean, std = float(values.mean()), _trial_std(values)
     return GroupComparison(
         metric_name=kind.name,
         group_a_value=once,
-        group_b_mean=float(values.mean()),
-        group_b_std=_trial_std(values),
+        group_b_mean=mean,
+        group_b_std=std,
         trials=trials,
         subsample_size=size,
     )

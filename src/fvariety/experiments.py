@@ -24,7 +24,7 @@ from .estimation import N_PREDICTION_BINS, _count_varieties, _trial_std
 from .sampling import RandomStream
 from .synthesis import (
     PopulationModel,
-    continuous_f_variety,
+    _continuous_varieties,
     draw_samples,
     exact_discretized_joint,
     get_preset,
@@ -104,15 +104,14 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run the full grid; ``jobs`` > 1 fans points out to worker processes."""
     base_model = config.resolve_model()
 
+    kinds = [get_kind(name) for name in config.divergences]
     theory: dict[tuple[str, int], tuple[float, float]] = {}
-    for kind_name in config.divergences:
-        kind = get_kind(kind_name)
-        for ri, ratio in enumerate(config.ratios):
-            model = base_model.with_ratio(ratio)
-            theory[(kind_name, ri)] = (
-                continuous_f_variety(model, kind, tol=config.theory_tol),
-                f_variety(exact_discretized_joint(model), kind),
-            )
+    for ri, ratio in enumerate(config.ratios):
+        model = base_model.with_ratio(ratio)
+        joint = exact_discretized_joint(model)
+        conts = _continuous_varieties(model, kinds, tol=config.theory_tol)
+        for kind_name, kind, cont in zip(config.divergences, kinds, conts):
+            theory[(kind_name, ri)] = (cont, f_variety(joint, kind))
 
     points = [
         (config, kind_name, ri, n)

@@ -9,6 +9,7 @@ pass them as break points so every panel sees a smooth integrand.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,14 +66,25 @@ _GAUSS_WEIGHTS = np.array([
 
 
 def _panel(func: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    """One GK15 panel: (integral estimate, error estimate)."""
+    """One GK15 panel: (integral estimate, error estimate).
+
+    Raises :class:`QuadratureFailure` when either is not finite, e.g. when
+    a node of a tiny end panel rounds onto an endpoint where the integrand
+    is infinite.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid + half * _KRONROD_NODES
-    y = np.asarray(func(x), dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):  # checked below
+        y = np.asarray(func(x), dtype=np.float64)
     kronrod = half * float(_KRONROD_WEIGHTS @ y)
     gauss = half * float(_GAUSS_WEIGHTS @ y[1::2])
-    return kronrod, abs(kronrod - gauss)
+    err = abs(kronrod - gauss)
+    if not (math.isfinite(kronrod) and math.isfinite(err)):
+        raise QuadratureFailure(
+            f"integrand is not finite on the panel [{lo!r}, {hi!r}]"
+        )
+    return kronrod, err
 
 
 def adaptive_quadrature(
@@ -88,7 +100,8 @@ def adaptive_quadrature(
     ``func`` maps an ndarray of abscissae to an ndarray of values and is
     never called at the endpoints.  ``break_points`` inside the interval
     pre-split the panels.  Raises :class:`QuadratureFailure` when the
-    interval budget runs out before the tolerance is met.
+    interval budget runs out before the tolerance is met, or when a panel
+    sum or its error estimate is not finite.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -138,29 +151,36 @@ def find_sign_changes(
 
     Only sign changes on the scan grid are found; that is enough to break
     integrands at density crossings, where missing a doubly-crossing sliver
-    costs accuracy the adaptive refinement recovers anyway.
+    costs accuracy the adaptive refinement recovers anyway.  A NaN scan
+    value (say inf - inf where a density is infinite at an endpoint)
+    carries no sign, so its cells are skipped.  All brackets are bisected
+    together, one ``func`` call per step on the midpoints still wider than
+    ``tol``; roots come back in grid order.
     """
     xs = np.linspace(lo, hi, scan_points + 1)
-    ys = np.asarray(func(xs), dtype=np.float64)
-    roots: list[float] = []
-    for i in range(scan_points):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == 0.0:
-            if lo < xs[i] < hi:
-                roots.append(float(xs[i]))
-            continue
-        if y0 * y1 < 0.0:
-            a, b = float(xs[i]), float(xs[i + 1])
-            fa = float(y0)
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = float(np.asarray(func(np.array([m])))[0])
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    return roots
+    with np.errstate(invalid="ignore"):
+        ys = np.asarray(func(xs), dtype=np.float64)
+        y0, y1 = ys[:-1], ys[1:]
+        on_grid = (y0 == 0.0) & (xs[:-1] > lo) & (xs[:-1] < hi)
+        bracketed = (y0 != 0.0) & (y0 * y1 < 0.0)
+
+    cells = np.flatnonzero(bracketed)
+    a, b, fa = xs[cells], xs[cells + 1], y0[cells]
+    active = np.flatnonzero(b - a > tol)
+    while len(active):
+        m = 0.5 * (a[active] + b[active])
+        fm = np.asarray(func(m), dtype=np.float64)
+        hit = fm == 0.0
+        with np.errstate(invalid="ignore"):  # an infinite fa times a hit's 0
+            left = ~hit & (fa[active] * fm < 0.0)
+        right = ~hit & ~left
+        a[active[hit]] = b[active[hit]] = m[hit]
+        b[active[left]] = m[left]
+        a[active[right]] = m[right]
+        fa[active[right]] = fm[right]
+        still = ~hit & (b[active] - a[active] > tol)
+        active = active[still]
+
+    roots = xs[:-1].copy()
+    roots[cells] = 0.5 * (a + b)
+    return roots[on_grid | bracketed].tolist()

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .distributions import JointDistribution
 from .divergence import DivergenceKind, f_variety, pointwise_contributions
-from .errors import BadShape, BadWeights, DomainError
+from .errors import BadShape, BadWeights, DomainError, QuadratureFailure
 from .estimation import N_PREDICTION_BINS, SampleSet
 from .quadrature import adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
@@ -184,23 +184,77 @@ def exact_discretized_joint(model: PopulationModel) -> JointDistribution:
     )
 
 
-def _choice_density(model: PopulationModel, c: int):
-    """x -> joint density of (choice=c, prediction=x) on (0, 1)."""
+def _is_uninformative(model: PopulationModel) -> bool:
+    """True when every choice has the same prediction density.
+
+    That holds for all non-experts (ratio 1), or for experts that pick
+    uniformly and share one Beta; the model's variety is then exactly 0.
+    """
+    if model.nonexpert_ratio == 1.0:
+        return True
+    weights, shapes = model.expert_choice_weights, model.expert_prediction
+    return all(w == weights[0] for w in weights) and all(
+        p == shapes[0] for p in shapes
+    )
+
+
+def _densities(model: PopulationModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint densities of (choice=c, prediction=x) as a (C, len(x)) array,
+    and their mean over choices, the uninformative mixture density."""
     ratio = model.nonexpert_ratio
-    w = model.expert_choice_weights[c]
-    expert = model.expert_prediction[c]
-    noise = model.nonexpert_prediction
     n = model.n_choices
-
-    def density(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((n, len(x)))
+    if ratio > 0.0:
+        noise = model.nonexpert_prediction
+        noise_term = (ratio / n) * beta_pdf(x, noise.alpha, noise.beta)
+    for c, (w, expert) in enumerate(
+        zip(model.expert_choice_weights, model.expert_prediction)
+    ):
         if ratio < 1.0 and w > 0.0:
-            out = out + (1.0 - ratio) * w * beta_pdf(x, expert.alpha, expert.beta)
+            out[c] += (1.0 - ratio) * w * beta_pdf(x, expert.alpha, expert.beta)
         if ratio > 0.0:
-            out = out + (ratio / n) * beta_pdf(x, noise.alpha, noise.beta)
-        return out
+            out[c] += noise_term
+    total = np.zeros(len(x))
+    for row in out:  # summed in choice order
+        total += row
+    return out, total / n
 
-    return density
+
+def _continuous_varieties(
+    model: PopulationModel, kinds: Sequence[DivergenceKind], tol: float = 1e-8
+) -> list[float]:
+    """:func:`continuous_f_variety` of every kind in ``kinds``.
+
+    Each choice's kinks do not depend on the kind, so they are located
+    once and every kind is integrated against them.
+    """
+    if tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if _is_uninformative(model):
+        return [0.0] * len(kinds)
+    totals = [0.0] * len(kinds)
+    per_choice_tol = tol / model.n_choices
+    for c in range(model.n_choices):
+
+        def gap(x: np.ndarray, c=c) -> np.ndarray:
+            dens, mean = _densities(model, x)
+            return dens[c] - mean
+
+        kinks = find_sign_changes(gap, 0.0, 1.0)
+        for k, kind in enumerate(kinds):
+
+            def integrand(x: np.ndarray, c=c, kind=kind) -> np.ndarray:
+                dens, mean = _densities(model, x)
+                return pointwise_contributions(dens[c], mean, kind)
+
+            try:
+                totals[k] += adaptive_quadrature(
+                    integrand, 0.0, 1.0, per_choice_tol, break_points=kinks
+                )
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(f"{kind.name}, choice {c}: {exc}") from None
+    return totals
 
 
 def continuous_f_variety(
@@ -212,31 +266,11 @@ def continuous_f_variety(
     choice's joint density and the uninformative mixture density.  The
     |.|-type generators kink where those densities cross, so crossings
     are bisected first and passed to the integrator as break points.
+    An uninformative model (all non-experts, or experts with uniform
+    choice weights and one shared Beta) scores exactly 0 without
+    quadrature.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    densities = [_choice_density(model, c) for c in range(model.n_choices)]
-
-    def mean_density(x: np.ndarray) -> np.ndarray:
-        return sum(d(x) for d in densities) / model.n_choices
-
-    total = 0.0
-    per_choice_tol = tol / model.n_choices
-    for c in range(model.n_choices):
-        p_c = densities[c]
-
-        def gap(x: np.ndarray, p_c=p_c) -> np.ndarray:
-            return p_c(x) - mean_density(x)
-
-        kinks = find_sign_changes(gap, 0.0, 1.0)
-
-        def integrand(x: np.ndarray, p_c=p_c) -> np.ndarray:
-            return pointwise_contributions(p_c(x), mean_density(x), kind)
-
-        total += adaptive_quadrature(
-            integrand, 0.0, 1.0, per_choice_tol, break_points=kinks
-        )
-    return total
+    return _continuous_varieties(model, (kind,), tol)[0]
 
 
 def draw_samples(

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,24 @@ class TestTheoretical:
 
     def test_unknown_preset_exits_2(self, capsys):
         assert main(["theoretical", "--preset", "uniform-9"]) == 2
+
+    def test_nonfinite_integrand_exits_2(self, tmp_path, capsys):
+        # Beta(3.69, 0.525) is infinite at 1; refinement shrinks an end panel
+        # until a Kronrod node rounds onto 1.0, where kl's integrand is NaN
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "n_choices": 4,
+            "expert_weights": [0.2505, 0.4223, 0.1541, 0.1731],
+            "expert_beta": [[9.72, 7.99], [3.69, 0.525], [5.02, 7.71], [1.99, 6.53]],
+            "nonexpert_beta": [9.84, 6.35],
+            "nonexpert_ratio": 0.0926,
+        }))
+        code = main(["theoretical", "--model", str(model_path),
+                     "--divergence", "tvd,kl,pearson,hellinger"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "nan" not in captured.out
 
 
 class TestSimulate:
@@ -162,6 +181,22 @@ class TestAnalyze:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["questions"]) == 2
+
+    def test_equal_size_comparison_reports_group_value(self, capsys):
+        # often vs rarely is 300 vs 300: every subsample is the whole group
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "athletes_like"
+        assert main([
+            "analyze",
+            "--responses", str(fixture / "responses.csv"),
+            "--respondents", str(fixture / "respondents.csv"),
+            "--filter", "watches_sports=often",
+            "--filter-b", "watches_sports=rarely",
+            "--format", "json",
+        ]) == 0
+        for row in json.loads(capsys.readouterr().out)["questions"]:
+            assert row["respondents_a"] == row["respondents_b"] == 300
+            assert row["comparison"]["group_b_mean"] == row["variety_b"]
+            assert row["comparison"]["group_b_std"] == 0.0
 
     def test_unknown_question_exits_2(self, survey_paths, capsys):
         responses, respondents = survey_paths
