@@ -13,7 +13,6 @@ from .distributions import (
     JointDistribution,
     is_uninformative,
     make_joint,
-    marginals,
     mix,
     uninformative_projection,
 )
@@ -37,13 +36,10 @@ from .estimation import (
     empirical_f_variety,
     empirical_joint,
 )
-from .experiments import SweepConfig, SweepResult, SweepRow, run_sweep, write_sweep
+from .experiments import SweepConfig, run_sweep, write_sweep
 from .sampling import RandomStream
-from .special import regularized_incomplete_beta
 from .survey import (
-    AnalysisReport,
     RespondentFilter,
-    SurveyDataset,
     analyze,
     extract_samples,
     load_survey,
@@ -52,9 +48,7 @@ from .synthesis import (
     BetaParams,
     PRESETS,
     PopulationModel,
-    beta_sample,
     continuous_f_variety,
-    discretize_prediction,
     draw_samples,
     exact_discretized_joint,
     get_preset,
@@ -63,7 +57,6 @@ from .synthesis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "BUILTIN_KINDS",
     "BetaParams",
     "DivergenceKind",
@@ -77,17 +70,12 @@ __all__ = [
     "RandomStream",
     "RespondentFilter",
     "SampleSet",
-    "SurveyDataset",
     "SweepConfig",
-    "SweepResult",
-    "SweepRow",
     "TVD",
     "analyze",
     "baseline",
-    "beta_sample",
     "compare_groups_equalized",
     "continuous_f_variety",
-    "discretize_prediction",
     "draw_samples",
     "empirical_f_variety",
     "empirical_joint",
@@ -100,9 +88,7 @@ __all__ = [
     "is_uninformative",
     "load_survey",
     "make_joint",
-    "marginals",
     "mix",
-    "regularized_incomplete_beta",
     "run_sweep",
     "tvd_variety_binary_closed_form",
     "uninformative_projection",

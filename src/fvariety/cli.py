@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .distributions import JointDistribution
 from .divergence import f_variety, get_kind
-from .errors import IoError, VarietyError
+from .errors import ConfigError, IoError, VarietyError
 from .experiments import (
     DEFAULT_RATIOS,
     DEFAULT_SAMPLE_SIZES,
@@ -49,6 +49,8 @@ def _load_json(path: str) -> dict:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise VarietyError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise VarietyError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _resolve_model(args: argparse.Namespace) -> PopulationModel:
@@ -75,26 +77,27 @@ def _cmd_theoretical(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _parse_list(text: str, convert: type, option: str) -> tuple:
+    try:
+        return tuple(convert(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(
+            f"{option} must be comma-separated {convert.__name__} values, got {text!r}"
+        ) from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SweepConfig(
         model=_resolve_model(args),
-        ratios=_parse_floats(args.ratios),
-        sample_sizes=_parse_ints(args.sizes),
+        ratios=_parse_list(args.ratios, float, "--ratios"),
+        sample_sizes=_parse_list(args.sizes, int, "--sizes"),
         trials_per_point=args.trials,
         divergences=tuple(n.strip() for n in args.divergence.split(",") if n.strip()),
         base_seed=args.seed,
     )
-    result = run_sweep(config, jobs=args.jobs)
+    rows = run_sweep(config, jobs=args.jobs)
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
-    write_sweep(result, args.out, format=fmt)
+    write_sweep(rows, args.out, format=fmt)
     return EXIT_OK
 
 

@@ -60,7 +60,7 @@ class JointDistribution:
             worst = float(mass.min())
             raise NegativeMass(f"mass table has negative entry {worst}")
         total = float(mass.sum())
-        if abs(total - 1.0) > NORMALIZATION_SLACK:
+        if not abs(total - 1.0) <= NORMALIZATION_SLACK:  # NaN fails too
             raise NotNormalized(f"mass table sums to {total!r}, expected 1")
         mass = mass / total
         mass.flags.writeable = False
@@ -72,9 +72,11 @@ class JointDistribution:
         try:
             n_choices = int(obj["n_choices"])
             n_bins = int(obj["n_bins"])
-            mass = obj["mass"]
+            mass = np.asarray(obj["mass"], dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise BadShape(f"joint JSON object missing field: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise BadShape(f"joint JSON object has a malformed field: {exc}") from exc
         return make_joint(mass, n_choices, n_bins)
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -102,11 +104,6 @@ def make_joint(
     exactly 1; larger deviations raise :class:`NotNormalized`.
     """
     return JointDistribution(n_choices=n_choices, n_bins=n_bins, mass=mass_table)
-
-
-def marginals(dist: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Return (choice marginal, prediction marginal) as probability vectors."""
-    return dist.choice_marginal(), dist.prediction_marginal()
 
 
 def mix(

@@ -15,6 +15,10 @@ The variety of a joint choice-prediction distribution D is the
 f-divergence from D to its uninformative projection.  It is zero exactly
 on uninformative distributions and shrinks linearly (or faster) as
 uninformative respondents are mixed in.
+
+``_variety_stack`` stays private although :mod:`fvariety.estimation`
+calls it: it scores a stack of raw mass arrays without the validation
+that :func:`f_variety` gets from :class:`JointDistribution`.
 """
 
 from __future__ import annotations

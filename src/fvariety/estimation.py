@@ -6,6 +6,10 @@ follow the equalized-subsampling protocol: the larger group is repeatedly
 subsampled without replacement down to the smaller group's respondent
 count, which removes sample-size effects from the metric and puts the
 error bar on exactly one side.
+
+``_count_varieties`` and ``_trial_std`` stay private although the sweep
+in :mod:`fvariety.experiments` calls them: they score raw count stacks
+that only the two trial loops build.
 """
 
 from __future__ import annotations
@@ -173,14 +177,6 @@ class GroupComparison:
             "trials": self.trials,
             "subsample_size": self.subsample_size,
         }
-
-    CSV_HEADER = "metric,group_a,group_b_mean,group_b_std,trials,subsample_size"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.metric_name},{self.group_a_value:.6g},{self.group_b_mean:.6g},"
-            f"{self.group_b_std:.6g},{self.trials},{self.subsample_size}"
-        )
 
 
 def _subsampled_values(

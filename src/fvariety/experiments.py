@@ -27,7 +27,6 @@ from .synthesis import (
     _continuous_varieties,
     draw_samples,
     exact_discretized_joint,
-    get_preset,
 )
 
 DEFAULT_RATIOS = tuple(k / 10 for k in range(11))
@@ -38,13 +37,12 @@ DEFAULT_SAMPLE_SIZES = (100, 200, 500, 1000)
 class SweepConfig:
     """Grid description for one sweep run."""
 
-    model: PopulationModel | str
+    model: PopulationModel
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     sample_sizes: tuple[int, ...] = DEFAULT_SAMPLE_SIZES
     trials_per_point: int = 100
     divergences: tuple[str, ...] = ("tvd",)
     base_seed: int = 0
-    theory_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.ratios:
@@ -62,11 +60,6 @@ class SweepConfig:
         for name in self.divergences:
             get_kind(name)  # raises on unknown names
 
-    def resolve_model(self) -> PopulationModel:
-        if isinstance(self.model, str):
-            return get_preset(self.model)
-        return self.model
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -79,16 +72,11 @@ class SweepRow:
     theoretical_discretized: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-
 def _run_point(args: tuple[SweepConfig, str, int, int]) -> tuple[float, float]:
     """Empirical mean/std for one (kind, ratio, n) grid point."""
     config, kind_name, ratio_index, n = args
     kind = get_kind(kind_name)
-    model = config.resolve_model().with_ratio(config.ratios[ratio_index])
+    model = config.model.with_ratio(config.ratios[ratio_index])
     root = RandomStream(config.base_seed)
     counts = np.empty(
         (config.trials_per_point, model.n_choices, N_PREDICTION_BINS), dtype=np.intp
@@ -100,16 +88,14 @@ def _run_point(args: tuple[SweepConfig, str, int, int]) -> tuple[float, float]:
     return float(values.mean()), _trial_std(values)
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
+def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[SweepRow, ...]:
     """Run the full grid; ``jobs`` > 1 fans points out to worker processes."""
-    base_model = config.resolve_model()
-
     kinds = [get_kind(name) for name in config.divergences]
     theory: dict[tuple[str, int], tuple[float, float]] = {}
     for ri, ratio in enumerate(config.ratios):
-        model = base_model.with_ratio(ratio)
+        model = config.model.with_ratio(ratio)
         joint = exact_discretized_joint(model)
-        conts = _continuous_varieties(model, kinds, tol=config.theory_tol)
+        conts = _continuous_varieties(model, kinds)
         for kind_name, kind, cont in zip(config.divergences, kinds, conts):
             theory[(kind_name, ri)] = (cont, f_variety(joint, kind))
 
@@ -139,7 +125,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
                 theoretical_discretized=disc,
             )
         )
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 CSV_HEADER = "kind,ratio,n,mean,std,theory_cont,theory_disc"
@@ -150,16 +136,16 @@ def _sig6(x: float) -> str:
 
 
 def write_sweep(
-    result: SweepResult, path: str, format: Literal["csv", "json"] = "csv"
+    rows: tuple[SweepRow, ...], path: str, format: Literal["csv", "json"] = "csv"
 ) -> None:
     """Write rows to ``path``; reals carry 6 significant digits.
 
-    Output bytes depend only on ``result``, so identical runs produce
+    Output bytes depend only on ``rows``, so identical runs produce
     identical files.
     """
     if format == "csv":
         lines = [CSV_HEADER]
-        for r in result.rows:
+        for r in rows:
             lines.append(
                 f"{r.kind},{_sig6(r.ratio)},{r.n},{_sig6(r.empirical_mean)},"
                 f"{_sig6(r.empirical_std)},{_sig6(r.theoretical_continuous)},"
@@ -167,7 +153,7 @@ def write_sweep(
             )
         payload = "\n".join(lines) + "\n"
     elif format == "json":
-        rows = [
+        records = [
             {
                 "kind": r.kind,
                 "ratio": float(_sig6(r.ratio)),
@@ -177,9 +163,9 @@ def write_sweep(
                 "theory_cont": float(_sig6(r.theoretical_continuous)),
                 "theory_disc": float(_sig6(r.theoretical_discretized)),
             }
-            for r in result.rows
+            for r in rows
         ]
-        payload = json.dumps(rows, indent=2) + "\n"
+        payload = json.dumps(records, indent=2) + "\n"
     else:
         raise ConfigError(f"unknown output format {format!r}")
     try:

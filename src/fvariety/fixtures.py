@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .estimation import SampleSet
+from .estimation import N_PREDICTION_BINS, SampleSet
 from .sampling import RandomStream
 from .synthesis import draw_samples, get_preset
 
@@ -45,6 +45,7 @@ def generate_two_group_survey(
 ) -> SurveyFixture:
     """Write responses.csv and respondents.csv under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
+    pct_step = 100 // (N_PREDICTION_BINS - 1)
     model = get_preset(preset)
     root = RandomStream(seed)
     question_ids = tuple(f"Q{i + 1}" for i in range(n_questions))
@@ -74,7 +75,7 @@ def generate_two_group_survey(
                 respondent_ids=ids,
             )
             for rid, choice, b in zip(ids, drawn.choices.tolist(), drawn.bins.tolist()):
-                response_rows.append((rid, qid, CHOICE_LABELS[choice], b * 10))
+                response_rows.append((rid, qid, CHOICE_LABELS[choice], b * pct_step))
 
     responses_path = os.path.join(out_dir, "responses.csv")
     respondents_path = os.path.join(out_dir, "respondents.csv")

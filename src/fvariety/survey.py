@@ -34,6 +34,9 @@ from .sampling import RandomStream
 
 RESPONSES_HEADER = ("respondent_id", "question_id", "choice", "prediction_pct")
 
+# Percent between adjacent prediction options.
+_PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
+
 
 @dataclass(frozen=True)
 class SurveyQuestion:
@@ -78,12 +81,28 @@ def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
     rows = [(ln, row) for ln, row in rows if row]
     if not rows:
         raise ParseError(f"{path}: file is empty")
     _, header = rows[0]
     return [h.strip() for h in header], rows[1:]
+
+
+def _decode_error(path: str) -> ParseError:
+    """ParseError naming the first line of ``path`` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}:{line}: not valid UTF-8: {exc.reason}")
+    return ParseError(f"{path}: not valid UTF-8")
 
 
 def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
@@ -134,10 +153,10 @@ def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
             raise ParseError(
                 f"{responses_path}:{ln}: prediction_pct {pct_text!r} is not an integer"
             ) from None
-        if pct < 0 or pct > 100 or pct % 10 != 0:
+        if pct < 0 or pct > 100 or pct % _PCT_STEP != 0:
             raise ValidationError(
                 f"{responses_path}:{ln}: prediction_pct must be one of "
-                f"0,10,...,100, got {pct}"
+                f"0,{_PCT_STEP},...,100, got {pct}"
             )
         if rid not in respondents:
             raise ValidationError(
@@ -250,11 +269,16 @@ def extract_samples(
         ):
             continue
         choices.append(index[resp.choice])
-        bins.append(resp.prediction_pct // 10)
+        bins.append(resp.prediction_pct // _PCT_STEP)
         respondent_ids.append(resp.respondent_id)
     if not choices:
         raise EmptyGroup(
             f"no observations for question {question_id!r} under the given filter"
+        )
+    if question.n_choices < 2:
+        raise ValidationError(
+            f"question {question_id!r} has one choice label, "
+            f"{question.options[0]!r}; a variety needs at least 2"
         )
     return SampleSet(
         n_choices=question.n_choices,

@@ -10,6 +10,10 @@ The module provides three views of the same model:
 * ``draw_samples``        - finite samples, predictions snapped to 11 bins
 * ``exact_discretized_joint`` - the infinite-sample limit of those histograms
 * ``continuous_f_variety``    - the un-binned metric, by adaptive quadrature
+
+``_continuous_varieties`` stays private although the CLI and the sweep
+call it: it is the many-kinds form of ``continuous_f_variety``, which is
+the one public entry point.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from .sampling import RandomStream
 from .special import beta_pdf, regularized_incomplete_beta
 
 # Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
-BIN_EDGES = np.concatenate(([0.0], np.arange(N_PREDICTION_BINS - 1) / 10 + 0.05, [1.0]))
+_GRID_STEPS = N_PREDICTION_BINS - 1
+BIN_EDGES = np.concatenate(
+    ([0.0], np.arange(_GRID_STEPS) / _GRID_STEPS + 0.5 / _GRID_STEPS, [1.0])
+)
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class PopulationModel:
             )
         if any(w < 0.0 for w in weights):
             raise BadWeights(f"negative choice weight in {weights}")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if not abs(sum(weights) - 1.0) <= 1e-12:  # NaN fails too
             raise BadWeights(f"choice weights sum to {sum(weights)!r}, expected 1")
         if len(self.expert_prediction) != self.n_choices:
             raise BadShape(
@@ -92,17 +99,18 @@ class PopulationModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "PopulationModel":
-        return cls(
-            n_choices=int(obj["n_choices"]),
-            expert_choice_weights=tuple(float(w) for w in obj["expert_weights"]),
-            expert_prediction=tuple(
-                BetaParams(float(a), float(b)) for a, b in obj["expert_beta"]
-            ),
-            nonexpert_prediction=BetaParams(
-                float(obj["nonexpert_beta"][0]), float(obj["nonexpert_beta"][1])
-            ),
-            nonexpert_ratio=float(obj["nonexpert_ratio"]),
-        )
+        try:
+            n_choices = int(obj["n_choices"])
+            weights = tuple(float(w) for w in obj["expert_weights"])
+            shapes = [(float(a), float(b)) for a, b in obj["expert_beta"]]
+            noise = (float(obj["nonexpert_beta"][0]), float(obj["nonexpert_beta"][1]))
+            ratio = float(obj["nonexpert_ratio"])
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise BadShape(
+                f"model JSON object has a missing or malformed field: {exc!r}"
+            ) from None
+        experts = tuple(BetaParams(a, b) for a, b in shapes)
+        return cls(n_choices, weights, experts, BetaParams(*noise), ratio)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -145,20 +153,9 @@ def get_preset(name: str) -> PopulationModel:
         raise DomainError(f"unknown preset {name!r}; known: {known}") from None
 
 
-def beta_sample(stream: RandomStream, params: BetaParams) -> float:
-    """One Beta draw; advances the stream."""
-    return float(stream.generator.beta(params.alpha, params.beta))
-
-
-def discretize_prediction(x: float) -> int:
-    """Snap a prediction in [0, 1] to the nearest of the 11 options, half-up."""
-    if math.isnan(x) or x < 0.0 or x > 1.0:
-        raise DomainError(f"prediction must lie in [0, 1], got {x}")
-    return int(math.floor(10.0 * x + 0.5))
-
-
 def _discretize_array(x: np.ndarray) -> np.ndarray:
-    return np.floor(10.0 * x + 0.5).astype(np.intp)
+    """Snap predictions in [0, 1] to the nearest of the 11 options, half-up."""
+    return np.floor(_GRID_STEPS * x + 0.5).astype(np.intp)
 
 
 def _bin_probabilities(params: BetaParams) -> np.ndarray:
@@ -189,6 +186,9 @@ def _is_uninformative(model: PopulationModel) -> bool:
 
     That holds for all non-experts (ratio 1), or for experts that pick
     uniformly and share one Beta; the model's variety is then exactly 0.
+    The test is exact on the model's parameters, unlike the table-level
+    :func:`~fvariety.distributions.is_uninformative`, which needs a
+    tolerance because tables built from densities carry round-off.
     """
     if model.nonexpert_ratio == 1.0:
         return True

@@ -29,12 +29,12 @@ from fvariety import (
     is_uninformative,
     load_survey,
     mix,
-    regularized_incomplete_beta,
     run_sweep,
     tvd_variety_binary_closed_form,
     uninformative_projection,
 )
 from fvariety.cli import main as cli_main
+from fvariety.special import regularized_incomplete_beta
 from fvariety.fixtures import generate_two_group_survey
 
 from conftest import random_joint, random_uninformative_joint
@@ -98,9 +98,9 @@ def test_criterion_2_pearson_and_hellinger_reference_values():
 
 def test_criterion_3_monte_carlo_reproduces_large_sample_run():
     start = time.perf_counter()
-    result = run_sweep(
+    rows = run_sweep(
         SweepConfig(
-            model="uniform-1",
+            model=get_preset("uniform-1"),
             ratios=(0.0, 1.0),
             sample_sizes=(1000,),
             trials_per_point=100,
@@ -109,7 +109,7 @@ def test_criterion_3_monte_carlo_reproduces_large_sample_run():
         )
     )
     elapsed = time.perf_counter() - start
-    by_ratio = {r.ratio: r for r in result.rows}
+    by_ratio = {r.ratio: r for r in rows}
     mean_ok = (
         abs(by_ratio[0.0].empirical_mean - 0.3231) <= 0.004
         and abs(by_ratio[1.0].empirical_mean - 0.0384) <= 0.004

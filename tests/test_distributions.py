@@ -9,7 +9,6 @@ from fvariety import (
     JointDistribution,
     is_uninformative,
     make_joint,
-    marginals,
     mix,
     uninformative_projection,
 )
@@ -73,17 +72,20 @@ class TestMakeJoint:
 
 class TestMarginals:
     def test_diagonal(self):
-        choice, prediction = marginals(make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2))
+        dist = make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)
+        choice, prediction = dist.choice_marginal(), dist.prediction_marginal()
         np.testing.assert_allclose(choice, [0.5, 0.5])
         np.testing.assert_allclose(prediction, [0.5, 0.5])
 
     def test_independent_nonuniform(self):
-        choice, prediction = marginals(make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2))
+        dist = make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2)
+        choice, prediction = dist.choice_marginal(), dist.prediction_marginal()
         np.testing.assert_allclose(choice, [0.8, 0.2])
         np.testing.assert_allclose(prediction, [0.5, 0.5])
 
     def test_uniform_2x11(self):
-        choice, prediction = marginals(make_joint(np.full((2, 11), 1 / 22), 2, 11))
+        dist = make_joint(np.full((2, 11), 1 / 22), 2, 11)
+        choice, prediction = dist.choice_marginal(), dist.prediction_marginal()
         np.testing.assert_allclose(choice, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(prediction, np.full(11, 1 / 11), atol=1e-12)
 
@@ -175,7 +177,7 @@ def test_mix_is_linear_on_marginals(a, b, lam):
     if (a.n_choices, a.n_bins) != (b.n_choices, b.n_bins):
         return
     mixed = mix([(lam, a), (1.0 - lam, b)])
-    choice, prediction = marginals(mixed)
+    choice, prediction = mixed.choice_marginal(), mixed.prediction_marginal()
     np.testing.assert_allclose(
         choice, lam * a.choice_marginal() + (1 - lam) * b.choice_marginal(), atol=1e-12
     )

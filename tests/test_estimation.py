@@ -192,7 +192,3 @@ class TestGroupComparisonSerialization:
             "metric", "group_a", "group_b_mean", "group_b_std",
             "trials", "subsample_size",
         }
-        row = result.to_csv_row()
-        assert row.startswith("tvd,")
-        assert len(row.split(",")) == 6
-        assert result.CSV_HEADER.count(",") == 5

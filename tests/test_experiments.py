@@ -18,54 +18,54 @@ SMALL = dict(
 
 class TestSweepConfig:
     def test_defaults(self):
-        config = SweepConfig(model="uniform-1")
+        config = SweepConfig(model=get_preset("uniform-1"))
         assert config.ratios == DEFAULT_RATIOS
         assert config.sample_sizes == DEFAULT_SAMPLE_SIZES
         assert config.trials_per_point == 100
 
     def test_ratio_out_of_range(self):
         with pytest.raises(ConfigError):
-            SweepConfig(model="uniform-1", ratios=(0.0, 1.2))
+            SweepConfig(model=get_preset("uniform-1"), ratios=(0.0, 1.2))
 
     def test_bad_sample_size(self):
         with pytest.raises(ConfigError):
-            SweepConfig(model="uniform-1", sample_sizes=(0,))
+            SweepConfig(model=get_preset("uniform-1"), sample_sizes=(0,))
 
     def test_too_few_trials_for_std(self):
         with pytest.raises(ConfigError):
-            SweepConfig(model="uniform-1", trials_per_point=1)
+            SweepConfig(model=get_preset("uniform-1"), trials_per_point=1)
 
     def test_unknown_divergence(self):
         with pytest.raises(InvalidGenerator):
-            SweepConfig(model="uniform-1", divergences=("nope",))
+            SweepConfig(model=get_preset("uniform-1"), divergences=("nope",))
 
     def test_inline_model(self):
         config = SweepConfig(model=get_preset("uniform-2"))
-        assert config.resolve_model() == get_preset("uniform-2")
+        assert config.model == get_preset("uniform-2")
 
 
 class TestRunSweep:
     def test_default_grid_yields_44_rows(self):
-        config = SweepConfig(model="uniform-1", trials_per_point=2)
-        assert len(run_sweep(config).rows) == 11 * 4
+        config = SweepConfig(model=get_preset("uniform-1"), trials_per_point=2)
+        assert len(run_sweep(config)) == 11 * 4
 
     def test_rows_ordered_and_theory_attached(self):
-        result = run_sweep(SweepConfig(model="uniform-1", **SMALL))
-        keys = [(r.kind, r.ratio, r.n) for r in result.rows]
+        rows = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
+        keys = [(r.kind, r.ratio, r.n) for r in rows]
         assert keys == sorted(keys, key=lambda k: (0, k[1], k[2]))
         by_ratio = {}
-        for r in result.rows:
+        for r in rows:
             by_ratio.setdefault(r.ratio, set()).add(
                 (r.theoretical_continuous, r.theoretical_discretized)
             )
         # theory depends only on (kind, ratio), not on n
         assert all(len(v) == 1 for v in by_ratio.values())
-        last = result.rows[-1]
+        last = rows[-1]
         assert last.ratio == 1.0
         assert last.theoretical_continuous == pytest.approx(0.0, abs=1e-8)
 
     def test_deterministic_across_runs_and_jobs(self):
-        config = SweepConfig(model="uniform-1", **SMALL)
+        config = SweepConfig(model=get_preset("uniform-1"), **SMALL)
         sequential = run_sweep(config, jobs=1)
         again = run_sweep(config, jobs=1)
         parallel = run_sweep(config, jobs=3)
@@ -73,67 +73,70 @@ class TestRunSweep:
         assert sequential == parallel
 
     def test_adding_a_kind_does_not_perturb_existing_points(self):
-        base = run_sweep(SweepConfig(model="uniform-1", **SMALL))
+        base = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         extended = run_sweep(
-            SweepConfig(model="uniform-1", **{**SMALL, "divergences": ("tvd", "pearson")})
+            SweepConfig(
+                model=get_preset("uniform-1"),
+                **{**SMALL, "divergences": ("tvd", "pearson")},
+            )
         )
-        tvd_rows = tuple(r for r in extended.rows if r.kind == "tvd")
-        assert tvd_rows == base.rows
+        tvd_rows = tuple(r for r in extended if r.kind == "tvd")
+        assert tvd_rows == base
 
     def test_std_columns_nonnegative(self):
-        result = run_sweep(SweepConfig(model="non-uniform-2", **SMALL))
-        assert all(r.empirical_std >= 0.0 for r in result.rows)
+        rows = run_sweep(SweepConfig(model=get_preset("non-uniform-2"), **SMALL))
+        assert all(r.empirical_std >= 0.0 for r in rows)
 
 
 class TestWriteSweep:
     def test_csv_layout(self, tmp_path):
-        result = run_sweep(SweepConfig(model="uniform-1", **SMALL))
+        rows = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         path = tmp_path / "sweep.csv"
-        write_sweep(result, str(path), format="csv")
+        write_sweep(rows, str(path), format="csv")
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
-        assert len(lines) == 1 + len(result.rows)
+        assert len(lines) == 1 + len(rows)
         assert all(line.count(",") == 6 for line in lines)
 
     def test_byte_stable(self, tmp_path):
-        result = run_sweep(SweepConfig(model="uniform-1", **SMALL))
+        rows = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep(result, str(a), format="csv")
-        write_sweep(result, str(b), format="csv")
+        write_sweep(rows, str(a), format="csv")
+        write_sweep(rows, str(b), format="csv")
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_mirrors_rows(self, tmp_path):
-        result = run_sweep(SweepConfig(model="uniform-1", **SMALL))
+        rows = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         path = tmp_path / "sweep.json"
-        write_sweep(result, str(path), format="json")
-        rows = json.loads(path.read_text())
-        assert len(rows) == len(result.rows)
-        assert set(rows[0]) == {
+        write_sweep(rows, str(path), format="json")
+        records = json.loads(path.read_text())
+        assert len(records) == len(rows)
+        assert set(records[0]) == {
             "kind", "ratio", "n", "mean", "std", "theory_cont", "theory_disc",
         }
-        assert rows[0]["kind"] == "tvd"
+        assert records[0]["kind"] == "tvd"
 
     def test_unwritable_path(self):
-        result = run_sweep(SweepConfig(model="uniform-1", **SMALL))
+        rows = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         with pytest.raises(IoError):
-            write_sweep(result, "/nonexistent-dir/sweep.csv", format="csv")
+            write_sweep(rows, "/nonexistent-dir/sweep.csv", format="csv")
 
     def test_unknown_format(self, tmp_path):
-        result = run_sweep(SweepConfig(model="uniform-1", **SMALL))
+        rows = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         with pytest.raises(ConfigError):
-            write_sweep(result, str(tmp_path / "x"), format="yaml")
+            write_sweep(rows, str(tmp_path / "x"), format="yaml")
 
 
 def test_empirical_means_approach_discretized_theory_with_n():
     config = SweepConfig(
-        model="uniform-1",
+        model=get_preset("uniform-1"),
         ratios=(0.0, 0.5, 1.0),
         sample_sizes=(100, 1000),
         trials_per_point=30,
         divergences=("tvd",),
         base_seed=11,
     )
-    rows = run_sweep(config).rows
+    rows = run_sweep(config)
     gap = {
         n: np.mean([
             abs(r.empirical_mean - r.theoretical_discretized)
@@ -149,14 +152,14 @@ def test_monotone_trend_at_large_n():
     # visible monotone decrease along the ratio axis, up to one
     # statistically-small inversion
     config = SweepConfig(
-        model="uniform-1",
+        model=get_preset("uniform-1"),
         ratios=DEFAULT_RATIOS,
         sample_sizes=(1000,),
         trials_per_point=20,
         divergences=("tvd",),
         base_seed=5,
     )
-    rows = run_sweep(config).rows
+    rows = run_sweep(config)
     means = [r.empirical_mean for r in rows]
     allowance = [2 * r.empirical_std / np.sqrt(config.trials_per_point) for r in rows]
     violations = [

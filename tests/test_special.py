@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import special as scipy_special
 
-from fvariety import regularized_incomplete_beta
 from fvariety.errors import DomainError, QuadratureFailure
 from fvariety.quadrature import adaptive_quadrature, find_sign_changes
-from fvariety.special import beta_pdf, log_beta
+from fvariety.special import beta_pdf, log_beta, regularized_incomplete_beta
 
 
 def binomial_sum_cdf(a: int, b: int, x: float) -> float:

@@ -13,19 +13,17 @@ from fvariety import (
     PopulationModel,
     RandomStream,
     TVD,
-    beta_sample,
     continuous_f_variety,
-    discretize_prediction,
     draw_samples,
     empirical_joint,
     exact_discretized_joint,
     f_variety,
     get_preset,
     is_uninformative,
-    regularized_incomplete_beta,
 )
 from fvariety.errors import BadShape, BadWeights, DomainError
-from fvariety.synthesis import BIN_EDGES, N_PREDICTION_BINS
+from fvariety.special import regularized_incomplete_beta
+from fvariety.synthesis import BIN_EDGES, N_PREDICTION_BINS, _discretize_array
 
 ALL_KINDS = (TVD, KL, PEARSON, HELLINGER)
 
@@ -102,30 +100,24 @@ class TestBetaSampling:
 
     def test_replay_is_identical(self):
         params = BetaParams(8, 3)
-        first = [beta_sample(RandomStream(5, k), params) for k in range(4)]
-        second = [beta_sample(RandomStream(5, k), params) for k in range(4)]
+        first = [RandomStream(5, k).generator.beta(params.alpha, params.beta)
+                 for k in range(4)]
+        second = [RandomStream(5, k).generator.beta(params.alpha, params.beta)
+                  for k in range(4)]
         assert first == second
 
     def test_streams_differ_by_index(self):
         params = BetaParams(8, 3)
-        assert beta_sample(RandomStream(5, 0), params) != beta_sample(
-            RandomStream(5, 1), params
-        )
+        assert RandomStream(5, 0).generator.beta(
+            params.alpha, params.beta
+        ) != RandomStream(5, 1).generator.beta(params.alpha, params.beta)
 
 
 class TestDiscretization:
     def test_nearest_option_examples(self):
-        assert discretize_prediction(0.04) == 0
-        assert discretize_prediction(0.05) == 1  # half rounds up
-        assert discretize_prediction(0.96) == 10
-        assert discretize_prediction(0.0) == 0
-        assert discretize_prediction(1.0) == 10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            discretize_prediction(-0.01)
-        with pytest.raises(DomainError):
-            discretize_prediction(1.01)
+        x = np.array([0.04, 0.05, 0.96, 0.0, 1.0])
+        # 0.05 is a half step and rounds up
+        assert _discretize_array(x).tolist() == [0, 1, 10, 0, 10]
 
     def test_bin_edges_shape(self):
         assert len(BIN_EDGES) == N_PREDICTION_BINS + 1
