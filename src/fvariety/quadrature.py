@@ -103,8 +103,8 @@ def adaptive_quadrature(
     interval budget runs out before the tolerance is met, or when a panel
     sum or its error estimate is not finite.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if hi <= lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
     edges = [lo] + sorted(p for p in set(break_points) if lo < p < hi) + [hi]

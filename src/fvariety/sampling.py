@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def _token_digest(base_seed: int, stream_index: int, tokens: tuple) -> int:
     material = repr((base_seed, stream_index) + tokens).encode("utf-8")
@@ -33,6 +35,11 @@ class RandomStream:
     _generator: np.random.Generator | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # SeedSequence takes only non-negative integer entropy
+        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.base_seed!r}")
 
     @property
     def generator(self) -> np.random.Generator:

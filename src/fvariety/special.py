@@ -72,6 +72,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     using the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) otherwise.  Absolute
     accuracy is well below 1e-10 over positive parameters.
     """
+    # numpy scalars would turn an overflow in the continued fraction into
+    # a RuntimeWarning; Python floats give inf/nan silently, and the loop
+    # then reports non-convergence
+    a, b, x = float(a), float(b), float(x)
     if not (a > 0.0 and b > 0.0) or math.isinf(a) or math.isinf(b):
         raise DomainError(f"parameters must be finite and positive, got a={a}, b={b}")
     if math.isnan(x) or x < 0.0 or x > 1.0:

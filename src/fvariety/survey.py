@@ -15,6 +15,8 @@ import io
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .distributions import JointDistribution
 from .divergence import DivergenceKind, TVD, baseline, f_variety
 from .errors import (
@@ -48,19 +50,20 @@ class SurveyQuestion:
         return len(self.options)
 
 
-@dataclass(frozen=True)
-class SurveyResponse:
-    respondent_id: str
-    question_id: str
-    choice: str
-    prediction_pct: int
-
-
 @dataclass(frozen=True, eq=False)
 class SurveyDataset:
+    """The two survey files as columns.
+
+    ``respondents`` holds the ids in file order; ``attributes`` holds one
+    object array per side question, aligned with it.  ``responses`` is a
+    read-only ``(rows, 4)`` intp array in file order with columns respondent
+    index, question index, choice index into ``options`` and prediction bin.
+    """
+
     questions: tuple[SurveyQuestion, ...]
-    respondents: dict[str, dict[str, str]]
-    responses: tuple[SurveyResponse, ...]
+    respondents: tuple[str, ...]
+    attributes: dict[str, np.ndarray]
+    responses: np.ndarray
 
     def question(self, question_id: str) -> SurveyQuestion:
         for q in self.questions:
@@ -70,10 +73,7 @@ class SurveyDataset:
         raise UnknownQuestion(f"no question {question_id!r}; known: {known}")
 
     def attribute_names(self) -> set[str]:
-        names: set[str] = set()
-        for attrs in self.respondents.values():
-            names.update(attrs)
-        return names
+        return set(self.attributes)
 
 
 def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -118,7 +118,8 @@ def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
             f"{respondents_path}: first column must be respondent_id, got {header!r}"
         )
     attr_names = header[1:]
-    respondents: dict[str, dict[str, str]] = {}
+    respondents: dict[str, int] = {}  # id -> index in file order
+    values: list[list[str]] = []
     for ln, row in rows:
         if len(row) != len(header):
             raise ParseError(
@@ -129,9 +130,10 @@ def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
             raise ValidationError(
                 f"{respondents_path}:{ln}: duplicate respondent id {rid!r}"
             )
-        respondents[rid] = {
-            name: value.strip() for name, value in zip(attr_names, row[1:])
-        }
+        respondents[rid] = len(respondents)
+        values.append([value.strip() for value in row[1:]])
+    table = np.array(values, dtype=object).reshape(len(values), len(attr_names))
+    table.flags.writeable = False
 
     header, rows = _read_rows(responses_path)
     if tuple(header) != RESPONSES_HEADER:
@@ -139,10 +141,10 @@ def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
             f"{responses_path}: header must be {','.join(RESPONSES_HEADER)}, "
             f"got {','.join(header)}"
         )
-    responses: list[SurveyResponse] = []
+    codes: list[int] = []  # 4 per row, flat (no tuple per row); choice set below
+    labels: list[str] = []
     seen_pairs: set[tuple[str, str]] = set()
-    options: dict[str, set[str]] = {}
-    question_order: list[str] = []
+    question_index: dict[str, int] = {}  # id -> index in first-appearance order
     for ln, row in rows:
         if len(row) != 4:
             raise ParseError(f"{responses_path}:{ln}: expected 4 fields, got {len(row)}")
@@ -167,17 +169,25 @@ def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
                 f"{responses_path}:{ln}: duplicate answer by {rid!r} to {qid!r}"
             )
         seen_pairs.add((rid, qid))
-        if qid not in options:
-            options[qid] = set()
-            question_order.append(qid)
-        options[qid].add(choice)
-        responses.append(SurveyResponse(rid, qid, choice, pct))
+        q = question_index.setdefault(qid, len(question_index))
+        codes += (respondents[rid], q, 0, pct // _PCT_STEP)
+        labels.append(choice)
 
-    questions = tuple(
-        SurveyQuestion(qid, tuple(sorted(options[qid]))) for qid in question_order
-    )
+    responses = np.array(codes, dtype=np.intp).reshape(-1, 4)
+    choices = np.array(labels, dtype=object)
+    questions = []
+    for qid, q in question_index.items():
+        rows_q = responses[:, 1] == q
+        # options are the sorted distinct labels; codes index into them
+        options, codes_q = np.unique(choices[rows_q], return_inverse=True)
+        responses[rows_q, 2] = codes_q
+        questions.append(SurveyQuestion(qid, tuple(options)))
+    responses.flags.writeable = False
     return SurveyDataset(
-        questions=questions, respondents=respondents, responses=tuple(responses)
+        questions=tuple(questions),
+        respondents=tuple(respondents),
+        attributes={name: table[:, i] for i, name in enumerate(attr_names)},
+        responses=responses,
     )
 
 
@@ -187,13 +197,14 @@ class FilterClause:
     op: str  # "=", "!=", or "in"
     values: tuple[str, ...]
 
-    def matches(self, attrs: Mapping[str, str]) -> bool:
+    def matches(self, attrs: Mapping[str, Any]) -> bool | np.ndarray:
+        """A bool for one respondent's dict; a mask over ``dataset.attributes``."""
         value = attrs.get(self.attribute)
         if self.op == "=":
             return value == self.values[0]
         if self.op == "!=":
             return value != self.values[0]
-        return value in self.values
+        return np.isin(value, self.values)
 
 
 @dataclass(frozen=True)
@@ -240,8 +251,8 @@ class RespondentFilter:
                     f"dataset has: {', '.join(sorted(known))}"
                 )
 
-    def matches(self, attrs: Mapping[str, str]) -> bool:
-        return all(clause.matches(attrs) for clause in self.clauses)
+    def matches(self, attrs: Mapping[str, Any]) -> bool | np.ndarray:
+        return np.logical_and.reduce([clause.matches(attrs) for clause in self.clauses])
 
 
 def extract_samples(
@@ -255,23 +266,12 @@ def extract_samples(
     can subsample by respondent.
     """
     question = dataset.question(question_id)
+    responses = dataset.responses
+    rows = responses[responses[:, 1] == dataset.questions.index(question)]
     if respondent_filter is not None:
         respondent_filter.validate_against(dataset)
-    index = {label: i for i, label in enumerate(question.options)}
-    choices: list[int] = []
-    bins: list[int] = []
-    respondent_ids: list[str] = []
-    for resp in dataset.responses:
-        if resp.question_id != question_id:
-            continue
-        if respondent_filter is not None and not respondent_filter.matches(
-            dataset.respondents[resp.respondent_id]
-        ):
-            continue
-        choices.append(index[resp.choice])
-        bins.append(resp.prediction_pct // _PCT_STEP)
-        respondent_ids.append(resp.respondent_id)
-    if not choices:
+        rows = rows[respondent_filter.matches(dataset.attributes)[rows[:, 0]]]
+    if not len(rows):
         raise EmptyGroup(
             f"no observations for question {question_id!r} under the given filter"
         )
@@ -283,9 +283,9 @@ def extract_samples(
     return SampleSet(
         n_choices=question.n_choices,
         n_bins=N_PREDICTION_BINS,
-        choices=choices,
-        bins=bins,
-        respondent_ids=respondent_ids,
+        choices=rows[:, 2],
+        bins=rows[:, 3],
+        respondent_ids=np.array(dataset.respondents, dtype=object)[rows[:, 0]],
     )
 
 

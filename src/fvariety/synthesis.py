@@ -229,8 +229,8 @@ def _continuous_varieties(
     Each choice's kinks do not depend on the kind, so they are located
     once and every kind is integrated against them.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if _is_uninformative(model):
         return [0.0] * len(kinds)
     totals = [0.0] * len(kinds)

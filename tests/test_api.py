@@ -3,7 +3,8 @@
 The tracer in ``perfbench/tracing.py`` replaces each ``(module, attribute)``
 of its ``LAYERS`` tuple by a timing wrapper; a renamed or deleted layer
 function would silently read 0 in every per-layer metric, so its
-existence is checked here.
+existence is checked here, and so is the row count it reads off a
+loaded survey.
 """
 
 import importlib
@@ -51,7 +52,17 @@ PUBLIC_NAMES = [
     "write_sweep",
 ]
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+FIXTURE = ROOT / "fixtures" / "athletes_like"
+
+
+def load_tracing():
+    """``perfbench/tracing.py`` as a module, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_public_names_are_pinned():
@@ -64,9 +75,14 @@ def test_every_public_name_resolves():
 
 
 def test_traced_layers_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     assert tracing.LAYERS
     for span, module, attr, _ in tracing.LAYERS:
         assert callable(getattr(importlib.import_module(module), attr, None)), span
+
+
+def test_traced_survey_row_count_is_the_data_row_count():
+    responses = FIXTURE / "responses.csv"
+    dataset = fvariety.load_survey(str(responses), str(FIXTURE / "respondents.csv"))
+    data_rows = len(responses.read_text().splitlines()) - 1
+    assert load_tracing()._rows((), {}, dataset) == data_rows == 4200

@@ -132,6 +132,34 @@ class TestRegressions:
                              "--out", str(tmp_path / "x.csv")])
         assert option in err
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_negative_seed(self, survey, tmp_path, command):
+        if command == "simulate":
+            argv = ["simulate", "--preset", "uniform-1", "--ratios", "0.5",
+                    "--sizes", "10", "--trials", "2", "--out", str(tmp_path / "x.csv")]
+        else:
+            # unequal groups, so the comparison draws subsamples
+            lines, respondents = survey
+            responses = write(tmp_path / "r.csv", "\n".join(lines[:-1]) + "\n")
+            argv = ["analyze", "--responses", responses, "--respondents", respondents,
+                    "--filter", "watches_sports=often",
+                    "--filter-b", "watches_sports=rarely", "--trials", "5"]
+        err = assert_exit_2(argv + ["--seed", "-1"])
+        assert "seed" in err and "-1" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_tolerance(self, tol):
+        err = assert_exit_2(["theoretical", "--preset", "uniform-1", f"--tol={tol}"])
+        assert "tol must be" in err
+
+    def test_huge_beta_shapes_fail_without_a_warning(self, tmp_path):
+        # tier-1 turns any RuntimeWarning into an exception, so a warning
+        # from the continued fraction would escape main as a traceback
+        model = {**MODEL, "nonexpert_beta": [1e300, 1e300]}
+        path = write(tmp_path / "m.json", json.dumps(model))
+        err = assert_exit_2(["theoretical", "--model", path])
+        assert len(err.splitlines()) == 1
+
     def test_single_label_question_is_named(self, survey, tmp_path):
         _, respondents = survey
         responses = write(

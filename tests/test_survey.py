@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvariety import (
     RandomStream,
@@ -110,6 +116,30 @@ class TestLoadSurvey:
     def test_duplicate_respondent_rejected(self, tmp_path):
         paths = write_survey(tmp_path, ["r1,Q1,cat,50"], ["r1,yes", "r1,no"])
         with pytest.raises(ValidationError, match="duplicate respondent"):
+            load_survey(*paths)
+
+    def test_first_fault_wins_over_a_later_validation_error(self, tmp_path):
+        # line 3 repeats line 2's answer; line 5 is off the 10 % grid
+        paths = write_survey(
+            tmp_path,
+            ["r1,Q1,cat,50", "r1,Q1,dog,60", "r2,Q1,cat,40", "r2,Q2,cat,55"],
+            ["r1,yes", "r2,no"],
+        )
+        with pytest.raises(ValidationError, match=r"responses\.csv:3: duplicate answer"):
+            load_survey(*paths)
+
+    def test_decode_error_wins_over_an_earlier_validation_error(self, tmp_path):
+        # the whole file is decoded before any row is validated, so the
+        # non-UTF-8 byte on line 6 is reported, not the ghost on line 3
+        paths = write_survey(
+            tmp_path,
+            ["r1,Q1,cat,50", "ghost,Q1,cat,50", "r1,Q2,cat,40", "r1,Q3,cat,40",
+             "r1,Q4,dog,40"],
+            ["r1,yes"],
+        )
+        body = Path(paths[0]).read_bytes().replace(b"Q4,dog", b"Q4,d\xffg")
+        Path(paths[0]).write_bytes(body)
+        with pytest.raises(ParseError, match=r"responses\.csv:6: not valid UTF-8"):
             load_survey(*paths)
 
 
@@ -281,3 +311,126 @@ class TestFixtureGenerator:
         for attr in ("responses_path", "respondents_path"):
             with open(getattr(a, attr), "rb") as fa, open(getattr(b, attr), "rb") as fb:
                 assert fa.read() == fb.read()
+
+
+# --- differential test against the row-at-a-time extraction ---------------
+
+ATTRIBUTE_VALUES = {"watches": ("often", "rarely", "never"), "gender": ("F", "M")}
+PAD = st.sampled_from(["", " ", "  "])
+
+
+def _clause_holds(attrs, attribute, op, values):
+    value = attrs.get(attribute)
+    if op == "=":
+        return value == values[0]
+    if op == "!=":
+        return value != values[0]
+    return value in values
+
+
+def reference_extract(responses_path, respondents_path, question_id, clauses):
+    """One question's (options, choices, bins, respondent ids), row by row.
+
+    This is the per-row algorithm: every answer row is read in file order,
+    the respondent's stripped attributes are tested against every clause,
+    and kept rows append their choice index, bin and id.  Returns the
+    string "empty" or "one label" where ``extract_samples`` must raise.
+    """
+    with open(respondents_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    names = [h.strip() for h in header[1:]]
+    attrs = {
+        row[0].strip(): dict(zip(names, (v.strip() for v in row[1:]))) for row in rows
+    }
+    with open(responses_path, newline="") as fh:
+        answers = [[f.strip() for f in row] for row in list(csv.reader(fh))[1:]]
+    options = sorted({choice for _, qid, choice, _ in answers if qid == question_id})
+    choices, bins, ids = [], [], []
+    for rid, qid, choice, pct in answers:
+        if qid != question_id:
+            continue
+        if not all(_clause_holds(attrs[rid], *clause) for clause in clauses):
+            continue
+        choices.append(options.index(choice))
+        bins.append(int(pct) // 10)
+        ids.append(rid)
+    if not ids:
+        return "empty"
+    if len(options) < 2:
+        return "one label"
+    return tuple(options), choices, bins, ids
+
+
+@st.composite
+def filtered_surveys(draw):
+    """(responses lines, respondents lines, question ids, filter clauses)."""
+    n_respondents = draw(st.integers(1, 6))
+    respondents = [
+        f"r{i}," + ",".join(
+            draw(PAD) + draw(st.sampled_from(values)) + draw(PAD)
+            for values in ATTRIBUTE_VALUES.values()
+        )
+        for i in range(n_respondents)
+    ]
+    question_ids = [f"Q{j}" for j in range(draw(st.integers(1, 3)))]
+    answers = []
+    for qid in question_ids:
+        labels = ("no", "yes", "maybe", "often")[: draw(st.integers(2, 4))]
+        for i in range(n_respondents):
+            if draw(st.booleans()):  # skipped answer
+                continue
+            label = draw(PAD) + draw(st.sampled_from(labels)) + draw(PAD)
+            pct = draw(PAD) + str(10 * draw(st.integers(0, 10)))
+            answers.append(f"{draw(PAD)}r{i},{qid},{label},{pct}")
+    # shuffling makes questions first appear out of order
+    answers = draw(st.permutations(answers))
+    clauses = []
+    for _ in range(draw(st.integers(0, 2))):
+        attribute = draw(st.sampled_from(sorted(ATTRIBUTE_VALUES)))
+        values = ATTRIBUTE_VALUES[attribute]
+        op = draw(st.sampled_from(["=", "!=", "in"]))
+        if op == "in":
+            picked = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+            clauses.append((attribute, op, tuple(picked)))
+        else:
+            clauses.append((attribute, op, (draw(st.sampled_from(values)),)))
+    return answers, respondents, question_ids, clauses
+
+
+def _filter_text(clauses):
+    parts = []
+    for attribute, op, values in clauses:
+        if op == "in":
+            parts.append(f"{attribute} in {'|'.join(values)}")
+        else:
+            parts.append(f"{attribute}{op}{values[0]}")
+    return ";".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filtered_surveys())
+def test_extract_samples_matches_row_by_row_reference(survey):
+    answers, respondents, question_ids, clauses = survey
+    with tempfile.TemporaryDirectory() as root:
+        paths = write_survey(Path(root), answers, respondents,
+                             respondents_header="respondent_id,watches,gender")
+        flt = RespondentFilter.parse(_filter_text(clauses)) if clauses else None
+        dataset = load_survey(*paths)
+        first_seen = list(dict.fromkeys(a.split(",")[1] for a in answers))
+        assert [q.question_id for q in dataset.questions] == first_seen
+        for qid in first_seen:
+            want = reference_extract(*paths, qid, clauses)
+            if want == "empty":
+                with pytest.raises(EmptyGroup):
+                    extract_samples(dataset, qid, flt)
+                continue
+            if want == "one label":
+                with pytest.raises(ValidationError, match="one choice label"):
+                    extract_samples(dataset, qid, flt)
+                continue
+            options, choices, bins, ids = want
+            samples = extract_samples(dataset, qid, flt)
+            assert dataset.question(qid).options == options
+            assert samples.choices.tolist() == choices
+            assert samples.bins.tolist() == bins
+            assert list(samples.respondent_ids) == ids
