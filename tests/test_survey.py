@@ -1,4 +1,5 @@
 import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -434,3 +435,185 @@ def test_extract_samples_matches_row_by_row_reference(survey):
             assert samples.choices.tolist() == choices
             assert samples.bins.tolist() == bins
             assert list(samples.respondent_ids) == ids
+
+
+# --- differential test against the row-at-a-time loader -------------------
+
+def _reference_read_rows(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    rows = [(ln, row) for ln, row in rows if row]
+    if not rows:
+        raise ParseError(f"{path}: file is empty")
+    _, header = rows[0]
+    return [h.strip() for h in header], rows[1:]
+
+
+def reference_load_survey(responses_path, respondents_path):
+    """(questions, respondents, attributes, responses), one row at a time.
+
+    This is the row-loop loader that the column-at-a-time ``load_survey``
+    replaced: every row is checked in file order, and within a row the
+    checks run as field count, integer percent, 10 % grid, known
+    respondent, new (respondent, question) pair.  The generated files
+    below are valid UTF-8, so the decode path is left out.
+    """
+    header, rows = _reference_read_rows(respondents_path)
+    if not header or header[0] != "respondent_id":
+        raise ParseError(
+            f"{respondents_path}: first column must be respondent_id, got {header!r}"
+        )
+    attr_names = header[1:]
+    respondents = {}
+    values = []
+    for ln, row in rows:
+        if len(row) != len(header):
+            raise ParseError(
+                f"{respondents_path}:{ln}: expected {len(header)} fields, got {len(row)}"
+            )
+        rid = row[0].strip()
+        if rid in respondents:
+            raise ValidationError(
+                f"{respondents_path}:{ln}: duplicate respondent id {rid!r}"
+            )
+        respondents[rid] = len(respondents)
+        values.append([value.strip() for value in row[1:]])
+    table = np.array(values, dtype=object).reshape(len(values), len(attr_names))
+
+    header, rows = _reference_read_rows(responses_path)
+    expected = ("respondent_id", "question_id", "choice", "prediction_pct")
+    if tuple(header) != expected:
+        raise ParseError(
+            f"{responses_path}: header must be {','.join(expected)}, "
+            f"got {','.join(header)}"
+        )
+    codes, labels, seen_pairs, question_index = [], [], set(), {}
+    for ln, row in rows:
+        if len(row) != 4:
+            raise ParseError(f"{responses_path}:{ln}: expected 4 fields, got {len(row)}")
+        rid, qid, choice, pct_text = (f.strip() for f in row)
+        try:
+            pct = int(pct_text)
+        except ValueError:
+            raise ParseError(
+                f"{responses_path}:{ln}: prediction_pct {pct_text!r} is not an integer"
+            ) from None
+        if pct < 0 or pct > 100 or pct % 10 != 0:
+            raise ValidationError(
+                f"{responses_path}:{ln}: prediction_pct must be one of "
+                f"0,10,...,100, got {pct}"
+            )
+        if rid not in respondents:
+            raise ValidationError(f"{responses_path}:{ln}: unknown respondent {rid!r}")
+        if (rid, qid) in seen_pairs:
+            raise ValidationError(
+                f"{responses_path}:{ln}: duplicate answer by {rid!r} to {qid!r}"
+            )
+        seen_pairs.add((rid, qid))
+        q = question_index.setdefault(qid, len(question_index))
+        codes += (respondents[rid], q, 0, pct // 10)
+        labels.append(choice)
+    responses = np.array(codes, dtype=np.intp).reshape(-1, 4)
+    choices = np.array(labels, dtype=object)
+    questions = []
+    for qid, q in question_index.items():
+        rows_q = responses[:, 1] == q
+        options, codes_q = np.unique(choices[rows_q], return_inverse=True)
+        responses[rows_q, 2] = codes_q
+        questions.append((qid, tuple(options)))
+    attributes = {name: table[:, i].tolist() for i, name in enumerate(attr_names)}
+    return tuple(questions), tuple(respondents), attributes, responses.tolist()
+
+
+GRID_PCTS = [str(10 * i) for i in range(11)] + ["+10", "010", "1_0", "٥٠"]
+BAD_PCTS = ["55", "-10", "110", "x"]
+# a newline inside a quoted label moves line_num; a comma forces quoting
+LABELS = ["A", "B", "C", "a\nb", "x,y"]
+LOADER_FAULTS = st.sampled_from(["ragged", "ghost", "duplicate", "pct"])
+
+
+def _csv_line(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+@st.composite
+def survey_files(draw):
+    """Texts of (responses.csv, respondents.csv) with faults mixed in.
+
+    No field that the loaders strip is ever empty, so both loaders agree
+    on every file this draws.
+    """
+    def pad(text):
+        return draw(PAD) + text + draw(PAD)
+
+    ids = [f"r{i}" for i in range(draw(st.integers(1, 4)))]
+    people = [[pad(rid), pad(draw(st.sampled_from(["often", "rarely"])))]
+              for rid in ids]
+    fault = draw(st.sampled_from([None] * 6 + ["duplicate", "ragged"]))
+    if fault is not None:
+        row = [pad(draw(st.sampled_from(ids))), "x"] if fault == "duplicate" else ["r9"]
+        people.insert(draw(st.integers(0, len(people))), row)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(["Q1", "Q2", "Q3"])),
+        unique=True, max_size=8,
+    ))
+    rows = [
+        [pad(rid), pad(qid), pad(draw(st.sampled_from(LABELS))),
+         pad(draw(st.sampled_from(GRID_PCTS)))]
+        for rid, qid in pairs
+    ]
+    for fault in draw(st.lists(LOADER_FAULTS, max_size=3)):
+        row = [pad("r0"), "Q1", pad(draw(st.sampled_from(LABELS))),
+               draw(st.sampled_from(GRID_PCTS))]
+        if fault == "ragged":
+            row = row[:3] if draw(st.booleans()) else row + ["extra"]
+        elif fault == "ghost":
+            row[0] = pad("ghost")
+        elif fault == "duplicate" and rows:
+            row[:2] = draw(st.sampled_from(rows))[:2]
+        elif fault == "pct":
+            row[3] = pad(draw(st.sampled_from(BAD_PCTS)))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+
+    def text(header, body):
+        lines = [_csv_line(header)]
+        for fields in body:
+            lines += ["\n"] * draw(st.integers(0, 1)) + [_csv_line(fields)]
+        return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+
+    return (text(["respondent_id", "question_id", "choice", "prediction_pct"], rows),
+            text(["respondent_id", "watch"], people))
+
+
+def _load_outcome(loader, paths):
+    try:
+        return loader(*paths)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(survey_files())
+def test_load_survey_matches_row_loop_reference(files):
+    with tempfile.TemporaryDirectory() as root:
+        paths = [str(Path(root) / name) for name in ("responses.csv", "respondents.csv")]
+        for path, body in zip(paths, files):
+            Path(path).write_text(body, encoding="utf-8")
+        want = _load_outcome(reference_load_survey, paths)
+        got = _load_outcome(load_survey, paths)
+    if isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.responses.dtype == np.intp and got.responses.shape[1:] == (4,)
+    assert not got.responses.flags.writeable
+    assert all(v.dtype == object and not v.flags.writeable
+               for v in got.attributes.values())
+    questions = tuple((q.question_id, q.options) for q in got.questions)
+    attributes = {name: v.tolist() for name, v in got.attributes.items()}
+    assert (questions, got.respondents, attributes, got.responses.tolist()) == want
