@@ -97,9 +97,9 @@ class SampleSet:
         """
         if self.respondent_ids is None:
             return np.arange(len(self), dtype=np.intp), len(self)
-        first: dict[Hashable, int] = {}
-        units = [first.setdefault(rid, len(first)) for rid in self.respondent_ids]
-        return np.array(units, dtype=np.intp), len(first)
+        ids = self.respondent_ids
+        index = {rid: unit for unit, rid in enumerate(dict.fromkeys(ids))}
+        return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)), len(index)
 
 
 def _count_varieties(counts: np.ndarray, kind: DivergenceKind) -> np.ndarray:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -38,6 +40,10 @@ RESPONSES_HEADER = ("respondent_id", "question_id", "choice", "prediction_pct")
 
 # Percent between adjacent prediction options.
 _PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
+
+# Bin codes of prediction_pct texts that are not an integer or off the grid.
+_NOT_AN_INTEGER = -1
+_OFF_GRID = -2
 
 
 @dataclass(frozen=True)
@@ -76,22 +82,34 @@ class SurveyDataset:
         return set(self.attributes)
 
 
-def _read_rows(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """CSV rows as (line number, fields), header separated out."""
+def _read_table(path: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """A CSV file as flat columns: header, data fields, row widths, row lines.
+
+    The data fields of all rows follow one another in file order, stripped;
+    ``lines[i]`` is the file line on which data row ``i`` ends.  Blank rows
+    are skipped.  The whole file is decoded and tokenized before any row is
+    validated, so a decode or CSV error anywhere in it is reported first.
+    """
+    fields: list[str] = []
+    widths: list[int] = []
+    lines: list[int] = []
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = [(reader.line_num, row) for row in reader]
+            for row in reader:
+                if row:
+                    fields += row
+                    widths.append(len(row))
+                    lines.append(reader.line_num)
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise _decode_error(path) from None
-    rows = [(ln, row) for ln, row in rows if row]
-    if not rows:
+    if not widths:
         raise ParseError(f"{path}: file is empty")
-    _, header = rows[0]
-    return [h.strip() for h in header], rows[1:]
+    fields = list(map(str.strip, fields))
+    return fields[: widths[0]], fields[widths[0]:], widths[1:], lines[1:]
 
 
 def _decode_error(path: str) -> ParseError:
@@ -105,88 +123,168 @@ def _decode_error(path: str) -> ParseError:
     return ParseError(f"{path}: not valid UTF-8")
 
 
+def _regular_rows(
+    path: str, widths: list[int], lines: list[int], width: int
+) -> tuple[int, ParseError | None]:
+    """Count of leading rows with ``width`` fields, and the first other row's error.
+
+    A row of the wrong width has no columns to check, so the rows before it
+    are checked on their own, and its error stands if they all pass.
+    """
+    ragged = np.flatnonzero(np.array(widths, dtype=np.intp) != width)
+    if not len(ragged):
+        return len(widths), None
+    row = int(ragged[0])
+    return row, ParseError(
+        f"{path}:{lines[row]}: expected {width} fields, got {widths[row]}"
+    )
+
+
+def _first_fault(checks: Sequence[np.ndarray]) -> tuple[int, int] | None:
+    """(row, check) of the first failed check, or None when all pass.
+
+    Each check is a boolean mask of failing rows.  Rows are taken in file
+    order and, within a row, checks in the order given.  A mask needs to be
+    exact only up to the first failing row, since the rows before it are
+    valid.
+    """
+    failed = np.stack(checks, axis=1).ravel()  # row-major: row by row
+    if not failed.any():
+        return None
+    return divmod(int(np.argmax(failed)), len(checks))
+
+
+def _check_filled(path: str, lines: list[int], columns: dict[str, list[str]]) -> None:
+    """Reject the first row that leaves one of ``columns`` empty."""
+    first_empty = {name: col.index("") for name, col in columns.items() if "" in col}
+    if first_empty:
+        name = min(first_empty, key=first_empty.__getitem__)  # ties: first column
+        raise ValidationError(f"{path}:{lines[first_empty[name]]}: empty {name}")
+
+
+def _load_respondents(path: str) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """Respondent index by id in file order, and one attribute array per column."""
+    header, fields, widths, lines = _read_table(path)
+    if not header or header[0] != "respondent_id":
+        raise ParseError(f"{path}: first column must be respondent_id, got {header!r}")
+    counts = Counter(header)
+    repeated = [name for name, count in counts.items() if count > 1]
+    if repeated:
+        raise ParseError(
+            f"{path}: column {repeated[0]!r} appears {counts[repeated[0]]} times "
+            "in the header"
+        )
+    width = len(header)
+    n, ragged = _regular_rows(path, widths, lines, width)
+    ids = fields[: n * width : width]
+    index = {rid: i for i, rid in enumerate(dict.fromkeys(ids))}
+    # ids are numbered in first-appearance order, so while rows are unique
+    # each row's number is its own index; the first repeat breaks that
+    repeats = np.flatnonzero(np.fromiter(map(index.__getitem__, ids), np.intp, n)
+                             != np.arange(n))
+    if len(repeats):
+        row = repeats[0]
+        raise ValidationError(f"{path}:{lines[row]}: duplicate respondent id {ids[row]!r}")
+    if ragged is not None:
+        raise ragged
+    _check_filled(path, lines, {"respondent_id": ids})
+    table = np.array(fields, dtype=object).reshape(n, width)
+    table.flags.writeable = False
+    return index, {name: table[:, i] for i, name in enumerate(header[1:], start=1)}
+
+
+def _load_responses(
+    path: str, respondents: dict[str, int]
+) -> tuple[tuple[SurveyQuestion, ...], np.ndarray]:
+    """Questions in first-appearance order and the ``(rows, 4)`` response codes."""
+    header, fields, widths, lines = _read_table(path)
+    if tuple(header) != RESPONSES_HEADER:
+        raise ParseError(
+            f"{path}: header must be {','.join(RESPONSES_HEADER)}, got {','.join(header)}"
+        )
+    width = len(RESPONSES_HEADER)
+    n, ragged = _regular_rows(path, widths, lines, width)
+    rids, qids, labels, pct_texts = (fields[i : n * width : width] for i in range(width))
+
+    # int() runs once per distinct text, so the accepted syntax (sign,
+    # leading zeros, underscores, non-ASCII digits) is Python's, not numpy's
+    bin_of: dict[str, int] = {}
+    for text in set(pct_texts):
+        try:
+            pct = int(text)
+        except ValueError:
+            bin_of[text] = _NOT_AN_INTEGER
+            continue
+        on_grid = 0 <= pct <= 100 and pct % _PCT_STEP == 0
+        bin_of[text] = pct // _PCT_STEP if on_grid else _OFF_GRID
+    bins = np.fromiter(map(bin_of.__getitem__, pct_texts), np.intp, n)
+    people = np.fromiter(map(respondents.get, rids, repeat(-1)), np.intp, n)
+    question_index = {qid: q for q, qid in enumerate(dict.fromkeys(qids))}
+    questions = np.fromiter(map(question_index.__getitem__, qids), np.intp, n)
+    # unknown respondents (-1) key below 0, apart from every known pair
+    pairs = people * len(question_index) + questions
+    repeated_pair = np.ones(n, dtype=bool)
+    repeated_pair[np.unique(pairs, return_index=True)[1]] = False
+
+    fault = _first_fault(
+        (bins == _NOT_AN_INTEGER, bins == _OFF_GRID, people < 0, repeated_pair)
+    )
+    if fault is not None:
+        row, check = fault
+        where = f"{path}:{lines[row]}"
+        if check == 0:
+            raise ParseError(
+                f"{where}: prediction_pct {pct_texts[row]!r} is not an integer"
+            )
+        if check == 1:
+            raise ValidationError(
+                f"{where}: prediction_pct must be one of 0,{_PCT_STEP},...,100, "
+                f"got {int(pct_texts[row])}"
+            )
+        if check == 2:
+            raise ValidationError(f"{where}: unknown respondent {rids[row]!r}")
+        raise ValidationError(
+            f"{where}: duplicate answer by {rids[row]!r} to {qids[row]!r}"
+        )
+    if ragged is not None:
+        raise ragged
+    _check_filled(path, lines, {"question_id": qids, "choice": labels})
+
+    # Rank every label once.  The distinct (question, label rank) keys then
+    # sort by question, then label: each question's options are one run of
+    # them, and a row's choice code is its key's offset within that run.
+    names = sorted(set(labels))
+    rank = {label: i for i, label in enumerate(names)}
+    label_ranks = np.fromiter(map(rank.__getitem__, labels), np.intp, n)
+    keys, key_of_row = np.unique(questions * len(names) + label_ranks, return_inverse=True)
+    n_options = np.bincount(keys // len(names), minlength=len(question_index))
+    run_start = np.cumsum(n_options) - n_options
+    options = [names[i] for i in keys % len(names)]
+    responses = np.column_stack((people, questions, key_of_row - run_start[questions], bins))
+    responses.flags.writeable = False
+    return tuple(
+        SurveyQuestion(qid, tuple(options[start:start + count]))
+        for qid, start, count in zip(question_index, run_start, n_options)
+    ), responses
+
+
 def load_survey(responses_path: str, respondents_path: str) -> SurveyDataset:
     """Parse and cross-validate the two survey files.
 
     Malformed rows raise :class:`ParseError` with the file line number;
     rows that parse but break an invariant (prediction off the 10% grid,
-    unknown respondent, duplicate answer) raise :class:`ValidationError`.
+    unknown respondent, duplicate answer, empty id or label) raise
+    :class:`ValidationError`.  The respondents file is checked first.  In
+    each file a decode or CSV error anywhere wins; then the first faulting
+    row, with its checks in the order field count, integer percent, grid,
+    known respondent, new answer; empty fields are checked last.
     """
-    header, rows = _read_rows(respondents_path)
-    if not header or header[0] != "respondent_id":
-        raise ParseError(
-            f"{respondents_path}: first column must be respondent_id, got {header!r}"
-        )
-    attr_names = header[1:]
-    respondents: dict[str, int] = {}  # id -> index in file order
-    values: list[list[str]] = []
-    for ln, row in rows:
-        if len(row) != len(header):
-            raise ParseError(
-                f"{respondents_path}:{ln}: expected {len(header)} fields, got {len(row)}"
-            )
-        rid = row[0].strip()
-        if rid in respondents:
-            raise ValidationError(
-                f"{respondents_path}:{ln}: duplicate respondent id {rid!r}"
-            )
-        respondents[rid] = len(respondents)
-        values.append([value.strip() for value in row[1:]])
-    table = np.array(values, dtype=object).reshape(len(values), len(attr_names))
-    table.flags.writeable = False
-
-    header, rows = _read_rows(responses_path)
-    if tuple(header) != RESPONSES_HEADER:
-        raise ParseError(
-            f"{responses_path}: header must be {','.join(RESPONSES_HEADER)}, "
-            f"got {','.join(header)}"
-        )
-    codes: list[int] = []  # 4 per row, flat (no tuple per row); choice set below
-    labels: list[str] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    question_index: dict[str, int] = {}  # id -> index in first-appearance order
-    for ln, row in rows:
-        if len(row) != 4:
-            raise ParseError(f"{responses_path}:{ln}: expected 4 fields, got {len(row)}")
-        rid, qid, choice, pct_text = (f.strip() for f in row)
-        try:
-            pct = int(pct_text)
-        except ValueError:
-            raise ParseError(
-                f"{responses_path}:{ln}: prediction_pct {pct_text!r} is not an integer"
-            ) from None
-        if pct < 0 or pct > 100 or pct % _PCT_STEP != 0:
-            raise ValidationError(
-                f"{responses_path}:{ln}: prediction_pct must be one of "
-                f"0,{_PCT_STEP},...,100, got {pct}"
-            )
-        if rid not in respondents:
-            raise ValidationError(
-                f"{responses_path}:{ln}: unknown respondent {rid!r}"
-            )
-        if (rid, qid) in seen_pairs:
-            raise ValidationError(
-                f"{responses_path}:{ln}: duplicate answer by {rid!r} to {qid!r}"
-            )
-        seen_pairs.add((rid, qid))
-        q = question_index.setdefault(qid, len(question_index))
-        codes += (respondents[rid], q, 0, pct // _PCT_STEP)
-        labels.append(choice)
-
-    responses = np.array(codes, dtype=np.intp).reshape(-1, 4)
-    choices = np.array(labels, dtype=object)
-    questions = []
-    for qid, q in question_index.items():
-        rows_q = responses[:, 1] == q
-        # options are the sorted distinct labels; codes index into them
-        options, codes_q = np.unique(choices[rows_q], return_inverse=True)
-        responses[rows_q, 2] = codes_q
-        questions.append(SurveyQuestion(qid, tuple(options)))
-    responses.flags.writeable = False
+    respondents, attributes = _load_respondents(respondents_path)
+    questions, responses = _load_responses(responses_path, respondents)
     return SurveyDataset(
-        questions=tuple(questions),
+        questions=questions,
         respondents=tuple(respondents),
-        attributes={name: table[:, i] for i, name in enumerate(attr_names)},
+        attributes=attributes,
         responses=responses,
     )
 

@@ -170,6 +170,44 @@ class TestRegressions:
                              "--respondents", respondents])
         assert "'Q7'" in err and "'A'" in err
 
+    def test_repeated_attribute_column_is_named(self, survey, tmp_path):
+        # the second "watch" column used to replace the first, so the
+        # filter below selected respondents by the wrong column, exit 0
+        lines, _ = survey
+        respondents = write(
+            tmp_path / "p.csv",
+            "respondent_id,watch,watch\n" + "".join(
+                f"{rid},often,rarely\n" for rid in sorted({ln.split(",")[0]
+                                                          for ln in lines[1:]})
+            ),
+        )
+        responses = write(tmp_path / "r.csv", "\n".join(lines) + "\n")
+        err = assert_exit_2(["analyze", "--responses", responses,
+                             "--respondents", respondents, "--filter", "watch=often"])
+        assert "'watch'" in err and "header" in err
+
+    @pytest.mark.parametrize("row, fault", [
+        ("E0001,Q3,,50", "empty choice"),
+        ("E0001, ,A,50", "empty question_id"),
+    ])
+    def test_empty_answer_field_names_its_line(self, survey, tmp_path, row, fault):
+        # an empty label used to become an option of its own, and an empty
+        # question id a question named ''
+        lines, respondents = survey
+        responses = write(tmp_path / "r.csv", "\n".join(lines[:3] + [row]) + "\n")
+        err = assert_exit_2(["analyze", "--responses", responses,
+                             "--respondents", respondents])
+        assert err == f"error: {responses}:4: {fault}\n"
+
+    def test_empty_respondent_id_names_its_line(self, survey, tmp_path):
+        lines, _ = survey
+        respondents = write(tmp_path / "p.csv",
+                            "respondent_id,watches_sports\nE0001,often\n  ,often\n")
+        responses = write(tmp_path / "r.csv", "\n".join(lines[:2]) + "\n")
+        err = assert_exit_2(["analyze", "--responses", responses,
+                             "--respondents", respondents])
+        assert err == f"error: {respondents}:3: empty respondent_id\n"
+
 
 FUZZ = settings(
     max_examples=60,

@@ -129,6 +129,20 @@ class TestLoadSurvey:
         with pytest.raises(ValidationError, match=r"responses\.csv:3: duplicate answer"):
             load_survey(*paths)
 
+    def test_empty_fields_are_checked_after_every_other_fault(self, tmp_path):
+        # a file rejected for another fault keeps that fault's line and text,
+        # even when an empty label comes earlier
+        rows = ["r1,Q1,,50", "r1,Q2,cat,40", "r1,Q2,dog,60"]
+        paths = write_survey(tmp_path, rows, ["r1,yes"])
+        with pytest.raises(ValidationError, match=r"responses\.csv:4: duplicate answer"):
+            load_survey(*paths)
+        paths = write_survey(tmp_path, rows[:2] + [",Q3,cat,40"], ["r1,yes"])
+        with pytest.raises(ValidationError, match=r"responses\.csv:4: unknown respondent ''"):
+            load_survey(*paths)
+        paths = write_survey(tmp_path, rows[:2], ["r1,yes"])
+        with pytest.raises(ValidationError, match=r"responses\.csv:2: empty choice"):
+            load_survey(*paths)
+
     def test_decode_error_wins_over_an_earlier_validation_error(self, tmp_path):
         # the whole file is decoded before any row is validated, so the
         # non-UTF-8 byte on line 6 is reported, not the ghost on line 3
