@@ -6,6 +6,7 @@ functions below restate that implementation's arithmetic, so the columnar
 path must reproduce it bit for bit.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,37 @@ def test_analyze_csv_matches_golden(tmp_path):
         "--trials", "1000", "--format", "csv", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDEN / "analyze_often_vs_all_t1000.csv").read_bytes()
+
+
+def analyze_compare_payload(tmp_path) -> str:
+    """Two-group ``analyze --format json`` reports for every kind, both orders.
+
+    JSON keeps floats at full precision, so a last-ulp change in a
+    subsample mean or std shows up here but not in the 6-digit CSV golden.
+    """
+    groups = ("watches_sports=often", "watches_sports in often|rarely")
+    runs = []
+    for kind_name in KINDS:
+        for filter_a, filter_b in (groups, groups[::-1]):
+            out = tmp_path / f"{kind_name}-{len(runs)}.json"
+            assert cli_main([
+                "analyze",
+                "--responses", str(FIXTURE / "responses.csv"),
+                "--respondents", str(FIXTURE / "respondents.csv"),
+                "--filter", filter_a, "--filter-b", filter_b,
+                "--divergence", kind_name, "--trials", "1000",
+                "--format", "json", "--out", str(out),
+            ]) == 0
+            runs.append({
+                "divergence": kind_name, "filter": filter_a, "filter_b": filter_b,
+                "report": json.loads(out.read_text()),
+            })
+    return json.dumps(runs, indent=2) + "\n"
+
+
+def test_analyze_json_comparison_matches_golden(tmp_path):
+    golden = (GOLDEN / "analyze_compare_4kinds.json").read_text()
+    assert analyze_compare_payload(tmp_path) == golden
 
 
 def test_equal_size_comparison_reports_exact_zero_std():
