@@ -15,7 +15,7 @@ that only the two trial loops build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -40,15 +40,15 @@ class SampleSet:
     """Observations as parallel columns plus the (n_choices, n_bins) shape.
 
     ``choices[i]`` and ``bins[i]`` are observation i's choice index and
-    prediction bin; ``respondent_ids``, when given, names the respondent
-    behind each observation.  The arrays are read-only intp copies.
+    prediction bin.  Each observation is one respondent's answer, so the
+    observation count is the respondent count.  The arrays are read-only
+    intp copies.
     """
 
     n_choices: int
     n_bins: int
     choices: np.ndarray
     bins: np.ndarray
-    respondent_ids: Sequence[Hashable] | None = None
 
     def __post_init__(self) -> None:
         if self.n_choices < 2 or self.n_bins < 1:
@@ -67,13 +67,6 @@ class SampleSet:
         bad = (bins < 0) | (bins >= self.n_bins)
         if np.any(bad):
             raise BadShape(f"prediction bin {bins[bad][0]} outside [0, {self.n_bins})")
-        if self.respondent_ids is not None:
-            ids = tuple(self.respondent_ids)
-            if len(ids) != len(choices):
-                raise BadShape(
-                    f"{len(ids)} respondent ids for {len(choices)} observations"
-                )
-            object.__setattr__(self, "respondent_ids", ids)
         choices.flags.writeable = False
         bins.flags.writeable = False
         object.__setattr__(self, "choices", choices)
@@ -87,19 +80,6 @@ class SampleSet:
         cells = self.choices * self.n_bins + self.bins
         counts = np.bincount(cells, minlength=self.n_choices * self.n_bins)
         return counts.reshape(self.n_choices, self.n_bins)
-
-    def respondent_units(self) -> tuple[np.ndarray, int]:
-        """Unit number of every observation, and the number of units.
-
-        Units number respondents in first-appearance order.  Without
-        respondent ids each observation is its own respondent, so
-        subsampling falls back to the observation level.
-        """
-        if self.respondent_ids is None:
-            return np.arange(len(self), dtype=np.intp), len(self)
-        ids = self.respondent_ids
-        index = {rid: unit for unit, rid in enumerate(dict.fromkeys(ids))}
-        return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)), len(index)
 
 
 def _count_varieties(counts: np.ndarray, kind: DivergenceKind) -> np.ndarray:
@@ -186,25 +166,19 @@ def _subsampled_values(
     trials: int,
     stream: RandomStream,
 ) -> np.ndarray:
-    """Metric over ``trials`` without-replacement respondent subsamples.
+    """Metric over ``trials`` without-replacement subsamples of ``size`` answers.
 
-    Each trial uses its own derived stream, so values do not depend on
-    evaluation order.  A trial's count table is the sum of its picked
-    rows of the per-respondent count matrix, taken as a 0/1 pick vector
-    times that matrix; the counts are integers, so the float product is
-    exact.
+    Each answer is one respondent's, so a subsample of answers is a
+    subsample of respondents.  Each trial uses its own derived stream, so
+    values do not depend on evaluation order.
     """
-    units, n_units = samples.respondent_units()
     n_cells = samples.n_choices * samples.n_bins
     cells = samples.choices * samples.n_bins + samples.bins
-    per_unit = np.bincount(units * n_cells + cells, minlength=n_units * n_cells)
-    per_unit = per_unit.reshape(n_units, n_cells).astype(np.float64)
-    counts = np.empty((trials, n_cells))
+    counts = np.empty((trials, n_cells), dtype=np.intp)
     for t in range(trials):
         rng = stream.spawn("subsample-trial", t).generator
-        picked = np.zeros(n_units)
-        picked[rng.choice(n_units, size=size, replace=False)] = 1.0
-        counts[t] = picked @ per_unit
+        picked = rng.choice(len(samples), size=size, replace=False)
+        counts[t] = np.bincount(cells[picked], minlength=n_cells)
     return _count_varieties(
         counts.reshape(trials, samples.n_choices, samples.n_bins), kind
     )
@@ -219,9 +193,10 @@ def compare_groups_equalized(
 ) -> GroupComparison:
     """Compare two groups at equal respondent counts.
 
-    The smaller group's metric is computed once on everything it has; the
-    larger group is subsampled without replacement to the same respondent
-    count ``trials`` times.  When sizes are equal the argument order is
+    A group's answers are its respondents, one answer each.  The smaller
+    group's metric is computed once on everything it has; the larger
+    group's answers are subsampled without replacement to the same count
+    ``trials`` times.  When sizes are equal the argument order is
     kept, and every subsample is the whole group, so the larger group's
     mean is its own full-sample value and the std is exactly 0.
     """
@@ -232,8 +207,7 @@ def compare_groups_equalized(
     if stream is None:
         stream = RandomStream(0)
 
-    size_a = group_a.respondent_units()[1]
-    size_b = group_b.respondent_units()[1]
+    size_a, size_b = len(group_a), len(group_b)
     small, large = (group_a, group_b) if size_a <= size_b else (group_b, group_a)
 
     size = min(size_a, size_b)

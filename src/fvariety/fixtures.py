@@ -67,13 +67,7 @@ def generate_two_group_survey(
                 group_model, n_per_group, root.spawn("question", qi, value)
             )
             ids = [f"{prefix}{i + 1:04d}" for i in range(n_per_group)]
-            samples[(qid, value)] = SampleSet(
-                n_choices=drawn.n_choices,
-                n_bins=drawn.n_bins,
-                choices=drawn.choices,
-                bins=drawn.bins,
-                respondent_ids=ids,
-            )
+            samples[(qid, value)] = drawn
             for rid, choice, b in zip(ids, drawn.choices.tolist(), drawn.bins.tolist()):
                 response_rows.append((rid, qid, CHOICE_LABELS[choice], b * pct_step))
 

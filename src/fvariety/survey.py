@@ -360,8 +360,9 @@ def extract_samples(
 ) -> SampleSet:
     """Sample set of one question's answers from the filtered respondents.
 
-    Respondent ids ride along with the observations so group comparisons
-    can subsample by respondent.
+    :func:`load_survey` rejects a second answer to a question, so each
+    observation is a distinct respondent and group comparisons can
+    subsample answers.
     """
     question = dataset.question(question_id)
     responses = dataset.responses
@@ -383,7 +384,6 @@ def extract_samples(
         n_bins=N_PREDICTION_BINS,
         choices=rows[:, 2],
         bins=rows[:, 3],
-        respondent_ids=np.array(dataset.respondents, dtype=object)[rows[:, 0]],
     )
 
 
@@ -535,7 +535,7 @@ def analyze(
     for qid in question_ids:
         samples_a = extract_samples(dataset, qid, filter_a)
         joint_a = empirical_joint(samples_a)
-        n_a = samples_a.respondent_units()[1]
+        n_a = len(samples_a)
         variety_a = f_variety(joint_a, kind)
         baseline_a = _maybe_baseline(joint_a)
         if filter_b is None:
@@ -551,7 +551,7 @@ def analyze(
             continue
         samples_b = extract_samples(dataset, qid, filter_b)
         joint_b = empirical_joint(samples_b)
-        n_b = samples_b.respondent_units()[1]
+        n_b = len(samples_b)
         comparison = compare_groups_equalized(
             samples_a, samples_b, kind, trials=trials, stream=stream.spawn("q", qid)
         )

@@ -42,16 +42,11 @@ def reference_f_variety(dist: JointDistribution, kind) -> float:
 
 
 def reference_subsampled_values(samples, size, kind, trials, stream):
-    """Index concatenation and ``np.add.at`` per trial, one table at a time."""
-    order: dict = {}
-    for i, rid in enumerate(samples.respondent_ids or range(len(samples))):
-        order.setdefault(rid, []).append(i)
-    units = [np.array(idx, dtype=np.intp) for idx in order.values()]
+    """``np.add.at`` over the picked observations, one table at a time."""
     values = np.empty(trials)
     for t in range(trials):
         rng = stream.spawn("subsample-trial", t).generator
-        picked = rng.choice(len(units), size=size, replace=False)
-        idx = np.concatenate([units[u] for u in picked])
+        idx = rng.choice(len(samples), size=size, replace=False)
         counts = np.zeros((samples.n_choices, samples.n_bins))
         np.add.at(counts, (samples.choices[idx], samples.bins[idx]), 1.0)
         dist = JointDistribution(
@@ -194,44 +189,24 @@ def test_mass_stack_equals_per_table_variety(
         assert value == reference_f_variety(dist, kind)
 
 
-def clustered_samples(rng, n_respondents, n_choices=2, n_bins=11, named=True):
-    """Respondents with 1-3 observations each, interleaved."""
-    per = rng.integers(1, 4, size=n_respondents)
-    ids = np.repeat(np.arange(n_respondents), per)
-    rng.shuffle(ids)
-    return SampleSet(
-        n_choices=n_choices,
-        n_bins=n_bins,
-        choices=rng.integers(0, n_choices, size=len(ids)),
-        bins=rng.integers(0, n_bins, size=len(ids)),
-        respondent_ids=[f"r{i}" for i in ids] if named else None,
-    )
-
-
 @pytest.mark.parametrize("kind_name", KINDS)
-@pytest.mark.parametrize("named", [True, False])
-def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, named):
+@pytest.mark.parametrize("unchosen_option", [True, False])
+def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_option):
+    # an unchosen option is a filtered group that never picked the last
+    # label: that choice row of every table, full-size ones too, is empty
     kind = BUILTIN_KINDS[kind_name]
     rng = np.random.default_rng(404)
-    samples = clustered_samples(rng, 60, n_choices=3, named=named)
-    n_units = samples.respondent_units()[1]
-    for size in (1, 17, n_units):
+    n_choices = 3
+    samples = SampleSet(
+        n_choices=n_choices,
+        n_bins=11,
+        choices=rng.integers(0, n_choices - unchosen_option, size=120),
+        bins=rng.integers(0, 11, size=120),
+    )
+    for size in (1, 17, len(samples)):
         got = _subsampled_values(samples, size, kind, 40, RandomStream(9))
         want = reference_subsampled_values(samples, size, kind, 40, RandomStream(9))
         np.testing.assert_array_equal(got, want)
-
-
-def test_respondent_units_keep_first_appearance_order():
-    samples = SampleSet(
-        n_choices=2, n_bins=3, choices=[0, 1, 0, 1, 1], bins=[0, 1, 2, 0, 1],
-        respondent_ids=["b", "a", "b", "c", "a"],
-    )
-    units, n_units = samples.respondent_units()
-    assert units.tolist() == [0, 1, 0, 2, 1]
-    assert n_units == 3
-    anonymous = SampleSet(n_choices=2, n_bins=3, choices=[1, 1], bins=[0, 0])
-    units, n_units = anonymous.respondent_units()
-    assert units.tolist() == [0, 1] and n_units == 2
 
 
 @pytest.mark.parametrize(
@@ -247,12 +222,6 @@ def test_respondent_units_keep_first_appearance_order():
 def test_out_of_range_columns_raise_bad_shape(choices, bins, match):
     with pytest.raises(BadShape, match=match):
         SampleSet(n_choices=2, n_bins=11, choices=choices, bins=bins)
-
-
-def test_respondent_ids_must_match_observations():
-    with pytest.raises(BadShape, match="respondent ids"):
-        SampleSet(n_choices=2, n_bins=11, choices=[0, 1], bins=[0, 1],
-                  respondent_ids=["r1"])
 
 
 def test_columns_are_read_only_copies():

@@ -16,13 +16,12 @@ from fvariety import (
 from fvariety.errors import BadShape, EmptySampleSet
 
 
-def sample_set(pairs, n_choices=2, n_bins=11, respondents=None):
+def sample_set(pairs, n_choices=2, n_bins=11):
     return SampleSet(
         n_choices=n_choices,
         n_bins=n_bins,
         choices=[c for c, _ in pairs],
         bins=[b for _, b in pairs],
-        respondent_ids=respondents,
     )
 
 
@@ -150,24 +149,6 @@ class TestCompareGroupsEqualized:
         samples = sample_set([(0, 1)])
         with pytest.raises(EmptySampleSet):
             compare_groups_equalized(samples, sample_set([]), TVD)
-
-    def test_subsampling_unit_is_respondent(self):
-        # two respondents with two observations each; subsampling to one
-        # respondent must keep that respondent's observations together
-        group_b = sample_set(
-            [(0, 1), (0, 9), (1, 4), (1, 5)],
-            respondents=["r1", "r1", "r2", "r2"],
-        )
-        group_a = sample_set([(0, 3)], respondents=["s1"])
-        per_respondent = {
-            "r1": empirical_f_variety(sample_set([(0, 1), (0, 9)]), TVD),
-            "r2": empirical_f_variety(sample_set([(1, 4), (1, 5)]), TVD),
-        }
-        result = compare_groups_equalized(group_a, group_b, TVD, trials=200,
-                                          stream=RandomStream(8))
-        assert result.subsample_size == 1
-        average = np.mean(list(per_respondent.values()))
-        assert result.group_b_mean == pytest.approx(average, abs=0.05)
 
     def test_mean_stabilizes_over_streams(self):
         model = get_preset("uniform-1").with_ratio(0.3)
