@@ -435,31 +435,34 @@ class AnalysisReport:
         return {"questions": out}
 
     def to_csv(self) -> str:
+        """CSV text; reals carry 6 significant digits, ids are quoted as needed."""
         two_group = any(r.n_b is not None for r in self.rows)
         buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         if two_group:
-            buf.write(
-                "question_id,metric,respondents_a,respondents_b,variety_a,variety_b,"
-                "baseline_a,baseline_b,resampled_side,resampled_mean,resampled_std,"
-                "trials,subsample_size\n"
-            )
+            writer.writerow((
+                "question_id", "metric", "respondents_a", "respondents_b",
+                "variety_a", "variety_b", "baseline_a", "baseline_b",
+                "resampled_side", "resampled_mean", "resampled_std",
+                "trials", "subsample_size",
+            ))
             for r in self.rows:
                 cmp = r.comparison
                 assert cmp is not None and r.variety_b is not None
-                buf.write(
-                    f"{r.question_id},{r.metric_name},{r.n_a},{r.n_b},"
-                    f"{r.variety_a:.6g},{r.variety_b:.6g},"
-                    f"{_fmt_opt(r.baseline_a)},{_fmt_opt(r.baseline_b)},"
-                    f"{r.resampled_side},{cmp.group_b_mean:.6g},"
-                    f"{cmp.group_b_std:.6g},{cmp.trials},{cmp.subsample_size}\n"
-                )
+                writer.writerow((
+                    r.question_id, r.metric_name, r.n_a, r.n_b,
+                    f"{r.variety_a:.6g}", f"{r.variety_b:.6g}",
+                    _fmt_opt(r.baseline_a), _fmt_opt(r.baseline_b),
+                    r.resampled_side, f"{cmp.group_b_mean:.6g}",
+                    f"{cmp.group_b_std:.6g}", cmp.trials, cmp.subsample_size,
+                ))
         else:
-            buf.write("question_id,metric,respondents,variety,baseline\n")
+            writer.writerow(("question_id", "metric", "respondents", "variety", "baseline"))
             for r in self.rows:
-                buf.write(
-                    f"{r.question_id},{r.metric_name},{r.n_a},"
-                    f"{r.variety_a:.6g},{_fmt_opt(r.baseline_a)}\n"
-                )
+                writer.writerow((
+                    r.question_id, r.metric_name, r.n_a,
+                    f"{r.variety_a:.6g}", _fmt_opt(r.baseline_a),
+                ))
         return buf.getvalue()
 
     def to_table(self) -> str:

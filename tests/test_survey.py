@@ -284,6 +284,29 @@ class TestAnalyze:
         assert forward.variety_a == backward.variety_b
         assert forward.variety_b == backward.variety_a
 
+    @pytest.mark.parametrize("two_group", [False, True])
+    def test_csv_quotes_question_ids(self, tmp_path, two_group):
+        question_ids = ["Q1, part a", 'say "hi"', "line\nbreak"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for qid in question_ids:
+            writer.writerows([
+                ("r1", qid, "cat", 70), ("r2", qid, "dog", 20), ("r3", qid, "cat", 40),
+            ])
+        paths = write_survey(
+            tmp_path, [buf.getvalue().rstrip("\n")], ["r1,yes", "r2,yes", "r3,no"]
+        )
+        dataset = load_survey(*paths)
+        report = analyze(
+            dataset, question_ids,
+            RespondentFilter.parse("watches in yes|no"),
+            RespondentFilter.parse("watches=yes") if two_group else None,
+            trials=5,
+        )
+        header, *rows = csv.reader(io.StringIO(report.to_csv()))
+        assert [row[0] for row in rows] == question_ids
+        assert {len(row) for row in rows} == {len(header)}
+
 
 class TestMultiChoiceQuestions:
     def test_three_option_question_has_no_baseline(self, tmp_path):
