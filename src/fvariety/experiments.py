@@ -105,10 +105,13 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[SweepRow, ...]:
         for ri in range(len(config.ratios))
         for n in config.sample_sizes
     ]
-    if jobs <= 1:
+    # a fork-based pool starts all its workers at the first submit, so
+    # never ask for more of them than there are points
+    workers = min(jobs, len(points))
+    if workers <= 1:
         stats = [_run_point(p) for p in points]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(_run_point, points))
 
     rows = []

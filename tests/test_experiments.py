@@ -72,6 +72,37 @@ class TestRunSweep:
         assert sequential == again
         assert sequential == parallel
 
+    def test_workers_capped_at_grid_points(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the requested worker count and maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("fvariety.experiments.ProcessPoolExecutor", SerialPool)
+        config = SweepConfig(
+            model=get_preset("uniform-1"), **{**SMALL, "ratios": (0.5,)}
+        )
+        assert run_sweep(config, jobs=64) == run_sweep(config, jobs=1)
+        assert started == [2]
+        one_point = SweepConfig(
+            model=get_preset("uniform-1"),
+            **{**SMALL, "ratios": (0.5,), "sample_sizes": (50,)},
+        )
+        run_sweep(one_point, jobs=64)
+        assert started == [2]  # a single point runs without a pool
+
     def test_adding_a_kind_does_not_perturb_existing_points(self):
         base = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
         extended = run_sweep(
