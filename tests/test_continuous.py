@@ -1,13 +1,14 @@
 """The continuous-model layer: vectorized kink bisection, kinks shared
-across kinds, and exact zeros on uninformative models.
+across kinds, exact zeros on uninformative models, and accuracy against
+an independent QUADPACK oracle.
 
 ``tests/golden/theoretical_tvd_kl_pearson_hellinger.json`` holds
-``variety theoretical`` stdout written by the implementation that bisected
-one point per call and scanned kinks once per kind; the rework must print
-the same strings.
+``variety theoretical`` stdout; every ``continuous`` value in it must lie
+within 1e-8 of the oracle.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fvariety import BUILTIN_KINDS, BetaParams, PopulationModel, continuous_f_variety
 from fvariety.cli import main as cli_main
@@ -128,6 +131,86 @@ def test_theoretical_matches_golden(case, tmp_path, capsys):
         "theoretical", "--model", str(path), "--divergence", "tvd,kl,pearson,hellinger",
     ]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+# The oracle below shares no code with fvariety: densities from math.lgamma,
+# divergence terms in closed form, QUADPACK for the integral.
+ORACLE_TOL = 1e-8
+
+ORACLE_TERMS = {
+    "tvd": lambda p, q: 0.5 * abs(p - q),
+    "kl": lambda p, q: p * math.log(p / q) if p > 0.0 else 0.0,
+    "pearson": lambda p, q: (p - q) ** 2 / q,
+    "hellinger": lambda p, q: 0.5 * (math.sqrt(p) - math.sqrt(q)) ** 2,
+}
+
+
+def oracle_beta_pdf(x, a, b):
+    log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_norm)
+
+
+def oracle_joint(model, x):
+    """Joint densities of (choice, x) for a model JSON dict, and their mean."""
+    n, ratio = model["n_choices"], model["nonexpert_ratio"]
+    noise = ratio / n * oracle_beta_pdf(x, *model["nonexpert_beta"])
+    dens = [
+        (1.0 - ratio) * w * oracle_beta_pdf(x, *shape) + noise
+        for w, shape in zip(model["expert_weights"], model["expert_beta"])
+    ]
+    return dens, sum(dens) / n
+
+
+def oracle_kinks(model, scan_points=512):
+    """Crossings of each choice's density with the mean: a grid scan plus
+    brentq, with crossings closer than 1e-9 (two choices crossing the mean
+    at one point) merged so QUADPACK gets no sliver panels."""
+
+    def gaps(x):
+        dens, mean = oracle_joint(model, x)
+        return [d - mean for d in dens]
+
+    xs = [k / scan_points for k in range(1, scan_points)]
+    ys = [gaps(x) for x in xs]
+    roots = sorted(
+        brentq(lambda x: gaps(x)[c], xs[i], xs[i + 1], xtol=1e-15)
+        for i in range(len(xs) - 1)
+        for c in range(model["n_choices"])
+        if ys[i][c] * ys[i + 1][c] < 0.0
+    )
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    return merged
+
+
+def oracle_variety(model, kind_name, kinks):
+    term = ORACLE_TERMS[kind_name]
+
+    def integrand(x):
+        dens, mean = oracle_joint(model, x)
+        return sum(term(d, mean) for d in dens)
+
+    value, _ = quad(integrand, 0.0, 1.0, points=kinks or None,
+                    epsabs=1e-13, epsrel=1e-12, limit=200)
+    return value
+
+
+def continuous_lines(stdout):
+    """{kind: value} of the ``<kind> continuous <value>`` lines."""
+    fields = (line.split() for line in stdout.splitlines())
+    return {kind: float(value) for kind, view, value in fields if view == "continuous"}
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[f"model{i}" for i in range(len(GOLDEN_CASES))]
+)
+def test_golden_continuous_values_match_oracle(case):
+    kinks = oracle_kinks(case["model"])
+    for kind_name, value in continuous_lines(case["stdout"]).items():
+        expected = oracle_variety(case["model"], kind_name, kinks)
+        assert abs(value - expected) <= ORACLE_TOL, (kind_name, value, expected)
 
 
 def beta_model(n_choices, weights, shapes, ratio, noise=(2.0, 2.0)):
