@@ -149,27 +149,29 @@ def find_sign_changes(
 ) -> list[float]:
     """Roots of ``func`` in (lo, hi), located by grid scan plus bisection.
 
+    ``func`` returns one row of values per curve; a 1-D result is one curve.
     Only sign changes on the scan grid are found; that is enough to break
     integrands at density crossings, where missing a doubly-crossing sliver
     costs accuracy the adaptive refinement recovers anyway.  A NaN scan
     value (say inf - inf where a density is infinite at an endpoint)
     carries no sign, so its cells are skipped.  All brackets are bisected
     together, one ``func`` call per step on the midpoints still wider than
-    ``tol``; roots come back in grid order.
+    ``tol``, each bracket reading its own row; roots come back row by row.
     """
     xs = np.linspace(lo, hi, scan_points + 1)
     with np.errstate(invalid="ignore"):
-        ys = np.asarray(func(xs), dtype=np.float64)
-        y0, y1 = ys[:-1], ys[1:]
+        ys = np.atleast_2d(np.asarray(func(xs), dtype=np.float64))
+        y0, y1 = ys[:, :-1], ys[:, 1:]
         on_grid = (y0 == 0.0) & (xs[:-1] > lo) & (xs[:-1] < hi)
         bracketed = (y0 != 0.0) & (y0 * y1 < 0.0)
 
-    cells = np.flatnonzero(bracketed)
-    a, b, fa = xs[cells], xs[cells + 1], y0[cells]
+    rows, cells = np.nonzero(bracketed)
+    a, b, fa = xs[cells], xs[cells + 1], y0[rows, cells]
     active = np.flatnonzero(b - a > tol)
     while len(active):
         m = 0.5 * (a[active] + b[active])
-        fm = np.asarray(func(m), dtype=np.float64)
+        fm = np.atleast_2d(np.asarray(func(m), dtype=np.float64))
+        fm = fm[rows[active], np.arange(len(active))]
         hit = fm == 0.0
         with np.errstate(invalid="ignore"):  # an infinite fa times a hit's 0
             left = ~hit & (fa[active] * fm < 0.0)
@@ -181,6 +183,6 @@ def find_sign_changes(
         still = ~hit & (b[active] - a[active] > tol)
         active = active[still]
 
-    roots = xs[:-1].copy()
-    roots[cells] = 0.5 * (a + b)
+    roots = np.broadcast_to(xs[:-1], y0.shape).copy()
+    roots[rows, cells] = 0.5 * (a + b)
     return roots[on_grid | bracketed].tolist()

@@ -226,34 +226,25 @@ def _continuous_varieties(
 ) -> list[float]:
     """:func:`continuous_f_variety` of every kind in ``kinds``.
 
-    Each choice's kinks do not depend on the kind, so they are located
-    once and every kind is integrated against them.
+    The kinks do not depend on the kind, so every choice's crossings are
+    located in one scan and each kind is integrated against all of them.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if _is_uninformative(model):
         return [0.0] * len(kinds)
-    totals = [0.0] * len(kinds)
-    per_choice_tol = tol / model.n_choices
-    for c in range(model.n_choices):
+    kinks = find_sign_changes(lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0)
+    totals = []
+    for kind in kinds:
 
-        def gap(x: np.ndarray, c=c) -> np.ndarray:
+        def integrand(x: np.ndarray, kind=kind) -> np.ndarray:
             dens, mean = _densities(model, x)
-            return dens[c] - mean
+            return pointwise_contributions(dens, mean, kind).sum(axis=0)
 
-        kinks = find_sign_changes(gap, 0.0, 1.0)
-        for k, kind in enumerate(kinds):
-
-            def integrand(x: np.ndarray, c=c, kind=kind) -> np.ndarray:
-                dens, mean = _densities(model, x)
-                return pointwise_contributions(dens[c], mean, kind)
-
-            try:
-                totals[k] += adaptive_quadrature(
-                    integrand, 0.0, 1.0, per_choice_tol, break_points=kinks
-                )
-            except QuadratureFailure as exc:
-                raise QuadratureFailure(f"{kind.name}, choice {c}: {exc}") from None
+        try:
+            totals.append(adaptive_quadrature(integrand, 0.0, 1.0, tol, kinks))
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(f"{kind.name}: {exc}") from None
     return totals
 
 
@@ -262,7 +253,7 @@ def continuous_f_variety(
 ) -> float:
     """Variety of the un-binned model, by adaptive quadrature.
 
-    Integrates, per choice, the divergence contribution between the
+    Integrates the choice-summed divergence contribution between each
     choice's joint density and the uninformative mixture density.  The
     |.|-type generators kink where those densities cross, so crossings
     are bisected first and passed to the integrator as break points.

@@ -79,15 +79,16 @@ class TestTheoretical:
         assert main(["theoretical", "--preset", "uniform-9"]) == 2
 
     def test_nonfinite_integrand_exits_2(self, tmp_path, capsys):
-        # Beta(3.69, 0.525) is infinite at 1; refinement shrinks an end panel
-        # until a Kronrod node rounds onto 1.0, where kl's integrand is NaN
+        # Beta(2.041, 0.3277) is infinite at 1; refinement shrinks an end
+        # panel until a Kronrod node rounds onto 1.0, where the integrand is
+        # NaN (inf - inf)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps({
             "n_choices": 4,
-            "expert_weights": [0.2505, 0.4223, 0.1541, 0.1731],
-            "expert_beta": [[9.72, 7.99], [3.69, 0.525], [5.02, 7.71], [1.99, 6.53]],
-            "nonexpert_beta": [9.84, 6.35],
-            "nonexpert_ratio": 0.0926,
+            "expert_weights": [0.135, 0.3933, 0.0371, 0.4346],
+            "expert_beta": [[4.773, 9.282], [2.041, 0.3277], [5.246, 7.189], [9.899, 6.451]],
+            "nonexpert_beta": [1.828, 6.027],
+            "nonexpert_ratio": 0.3476,
         }))
         code = main(["theoretical", "--model", str(model_path),
                      "--divergence", "tvd,kl,pearson,hellinger"])

@@ -59,10 +59,9 @@ def reference_find_sign_changes(func, lo, hi, scan_points=512, tol=1e-13):
 
 
 @st.composite
-def scan_cases(draw):
+def curves(draw, scan_points):
     """A product of linear factors, some with roots on the scan grid, and
     optionally NaN or an infinity at an endpoint."""
-    scan_points = draw(st.integers(2, 600))
     on_grid = draw(st.lists(st.integers(0, scan_points), max_size=3))
     off_grid = draw(st.lists(st.floats(-0.2, 1.2), max_size=5))
     roots = [k / scan_points for k in on_grid] + off_grid
@@ -79,16 +78,34 @@ def scan_cases(draw):
             y = np.where(x == 0.0, endpoint, y)
         return y
 
+    return func
+
+
+@st.composite
+def scan_cases(draw):
+    """One curve, or two stacked as rows, on one scan grid and tolerance."""
+    scan_points = draw(st.integers(2, 600))
+    funcs = draw(st.lists(curves(scan_points), min_size=1, max_size=2))
     tol = draw(st.sampled_from([1e-13, 1e-9, 1e-4, 0.5]))
-    return func, scan_points, tol
+    return funcs, scan_points, tol
 
 
 @settings(max_examples=300, deadline=None)
 @given(scan_cases())
 def test_vectorized_bisection_matches_scalar_loop(case):
-    func, scan_points, tol = case
+    funcs, scan_points, tol = case
+    if len(funcs) == 1:
+        func = funcs[0]
+    else:
+        def func(x):
+            return np.stack([f(x) for f in funcs])
+
     with np.errstate(invalid="ignore", over="ignore"):
-        expected = reference_find_sign_changes(func, 0.0, 1.0, scan_points, tol)
+        expected = [
+            root
+            for f in funcs
+            for root in reference_find_sign_changes(f, 0.0, 1.0, scan_points, tol)
+        ]
         found = find_sign_changes(func, 0.0, 1.0, scan_points, tol)
     assert found == expected
 
@@ -211,6 +228,25 @@ def test_golden_continuous_values_match_oracle(case):
     for kind_name, value in continuous_lines(case["stdout"]).items():
         expected = oracle_variety(case["model"], kind_name, kinks)
         assert abs(value - expected) <= ORACLE_TOL, (kind_name, value, expected)
+
+
+def test_endpoint_singular_model_prints_oracle_values(tmp_path, capsys):
+    # Beta(3.69, 0.525) is infinite at 1; kl and pearson used to exit 2
+    model = {
+        "n_choices": 4,
+        "expert_weights": [0.2505, 0.4223, 0.1541, 0.1731],
+        "expert_beta": [[9.72, 7.99], [3.69, 0.525], [5.02, 7.71], [1.99, 6.53]],
+        "nonexpert_beta": [9.84, 6.35],
+        "nonexpert_ratio": 0.0926,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert cli_main(["theoretical", "--model", str(path), "--divergence", "kl,pearson"]) == 0
+    printed = continuous_lines(capsys.readouterr().out)
+    kinks = oracle_kinks(model)
+    for kind_name in ("kl", "pearson"):
+        expected = oracle_variety(model, kind_name, kinks)
+        assert abs(printed[kind_name] - expected) <= ORACLE_TOL, (kind_name, expected)
 
 
 def beta_model(n_choices, weights, shapes, ratio, noise=(2.0, 2.0)):
