@@ -439,6 +439,8 @@ class AnalysisReport:
         two_group = any(r.n_b is not None for r in self.rows)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
+        # with a "\n" terminator csv leaves a bare "\r" unquoted; quote that row whole
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         if two_group:
             writer.writerow((
                 "question_id", "metric", "respondents_a", "respondents_b",
@@ -449,7 +451,7 @@ class AnalysisReport:
             for r in self.rows:
                 cmp = r.comparison
                 assert cmp is not None and r.variety_b is not None
-                writer.writerow((
+                (quoted if "\r" in r.question_id else writer).writerow((
                     r.question_id, r.metric_name, r.n_a, r.n_b,
                     f"{r.variety_a:.6g}", f"{r.variety_b:.6g}",
                     _fmt_opt(r.baseline_a), _fmt_opt(r.baseline_b),
@@ -459,7 +461,7 @@ class AnalysisReport:
         else:
             writer.writerow(("question_id", "metric", "respondents", "variety", "baseline"))
             for r in self.rows:
-                writer.writerow((
+                (quoted if "\r" in r.question_id else writer).writerow((
                     r.question_id, r.metric_name, r.n_a,
                     f"{r.variety_a:.6g}", _fmt_opt(r.baseline_a),
                 ))

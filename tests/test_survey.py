@@ -286,9 +286,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("two_group", [False, True])
     def test_csv_quotes_question_ids(self, tmp_path, two_group):
-        question_ids = ["Q1, part a", 'say "hi"', "line\nbreak"]
+        question_ids = ["Q1, part a", 'say "hi"', "line\nbreak", "Q1\rb"]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         for qid in question_ids:
             writer.writerows([
                 ("r1", qid, "cat", 70), ("r2", qid, "dog", 20), ("r3", qid, "cat", 40),
