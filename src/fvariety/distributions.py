@@ -70,13 +70,15 @@ class JointDistribution:
     def from_json_dict(cls, obj: dict[str, Any]) -> "JointDistribution":
         """Build from the wire format {"n_choices", "n_bins", "mass"}."""
         try:
-            n_choices = int(obj["n_choices"])
-            n_bins = int(obj["n_bins"])
+            n_choices = obj["n_choices"]
+            n_bins = obj["n_bins"]
             mass = np.asarray(obj["mass"], dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise BadShape(f"joint JSON object missing field: {exc}") from exc
         except (ValueError, OverflowError) as exc:
             raise BadShape(f"joint JSON object has a malformed field: {exc}") from exc
+        if type(n_choices) is not int or type(n_bins) is not int:  # int() would accept 2.9 and true
+            raise BadShape(f"sizes must be JSON integers, got {n_choices!r} and {n_bins!r}")
         return make_joint(mass, n_choices, n_bins)
 
     def to_json_dict(self) -> dict[str, Any]:

@@ -100,7 +100,7 @@ class PopulationModel:
     @classmethod
     def from_json_dict(cls, obj: dict[str, Any]) -> "PopulationModel":
         try:
-            n_choices = int(obj["n_choices"])
+            n_choices = obj["n_choices"]
             weights = tuple(float(w) for w in obj["expert_weights"])
             shapes = [(float(a), float(b)) for a, b in obj["expert_beta"]]
             noise = (float(obj["nonexpert_beta"][0]), float(obj["nonexpert_beta"][1]))
@@ -109,6 +109,8 @@ class PopulationModel:
             raise BadShape(
                 f"model JSON object has a missing or malformed field: {exc!r}"
             ) from None
+        if type(n_choices) is not int:  # int() would accept 2.7 and true
+            raise BadShape(f"n_choices must be a JSON integer, got {n_choices!r}")
         experts = tuple(BetaParams(a, b) for a, b in shapes)
         return cls(n_choices, weights, experts, BetaParams(*noise), ratio)
 

@@ -107,6 +107,10 @@ class TestRegressions:
         {**MODEL, "expert_beta": [[1], [2, 3]]},
         {**MODEL, "nonexpert_ratio": "abc"},
         {**MODEL, "expert_weights": [float("nan"), 0.5]},
+        {**MODEL, "n_choices": 2.7},
+        {**MODEL, "n_choices": 2.0},
+        {**MODEL, "n_choices": "2"},
+        {**MODEL, "n_choices": True},
     ])
     def test_malformed_model_json(self, tmp_path, model):
         path = write(tmp_path / "m.json", json.dumps(model))
@@ -121,6 +125,10 @@ class TestRegressions:
         {**JOINT, "n_choices": "x"},
         {**JOINT, "mass": [[0.5, "a"], [0.0, 0.5]]},
         {**JOINT, "mass": [[0.5, float("nan")], [0.0, 0.5]]},
+        {**JOINT, "n_choices": 2.9},
+        {**JOINT, "n_bins": 2.0},
+        {**JOINT, "n_bins": "2"},
+        {**JOINT, "n_bins": True, "mass": [[0.5], [0.5]]},
     ])
     def test_malformed_joint_json(self, tmp_path, joint):
         path = write(tmp_path / "j.json", json.dumps(joint))
