@@ -8,6 +8,9 @@ import pytest
 from fvariety.cli import main
 from fvariety.fixtures import generate_two_group_survey
 
+# fresh interpreters run from here, so they import this checkout's package
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture
 def joint_path(tmp_path):
@@ -216,8 +219,27 @@ class TestAnalyze:
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "fvariety.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=SRC,
     )
     assert proc.returncode == 0
     for command in ("compute", "theoretical", "simulate", "analyze"):
         assert command in proc.stdout
+
+
+def test_cli_imports_neither_scipy_nor_mpmath(tmp_path):
+    # both are test-only: the oracles import them, the library must not
+    script = f"""
+import sys
+from fvariety.cli import main
+assert main(["theoretical", "--preset", "uniform-1",
+             "--divergence", "tvd,kl,pearson,hellinger"]) == 0
+assert main(["simulate", "--preset", "uniform-1", "--divergence", "tvd,kl",
+             "--trials", "2", "--ratios", "0,0.5", "--sizes", "20",
+             "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=SRC
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
