@@ -159,6 +159,23 @@ class GroupComparison:
         }
 
 
+def _subsample_tables(
+    table: np.ndarray, size: int, trials: int, stream: RandomStream
+) -> np.ndarray:
+    """``(trials, C, B)`` count tables of without-replacement subsamples.
+
+    A subsample of ``size`` answers from a group whose answers have the
+    count ``table`` is scored only through its own count table, and that
+    table is one multivariate hypergeometric draw from ``table``: all
+    trials are one call on ``stream``.  The method is pinned so the draws
+    do not depend on numpy's default.
+    """
+    draws = stream.generator.multivariate_hypergeometric(
+        table.ravel(), size, size=trials, method="marginals"
+    )
+    return draws.reshape(trials, *table.shape)
+
+
 def _subsampled_values(
     samples: SampleSet,
     size: int,

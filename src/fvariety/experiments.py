@@ -72,6 +72,21 @@ class SweepRow:
     theoretical_discretized: float
 
 
+def _sample_tables(
+    mass: np.ndarray, n: int, trials: int, stream: RandomStream
+) -> np.ndarray:
+    """``(trials, C, B)`` count tables of ``trials`` samples of n respondents.
+
+    ``mass`` is the model's :func:`exact_discretized_joint`.  Respondents
+    are drawn iid and then binned, so the count table of
+    :func:`draw_samples` is Multinomial(n, mass): all trials are one call
+    on ``stream``.
+    """
+    p = mass.ravel()
+    draws = stream.generator.multinomial(n, p / p.sum(), size=trials)
+    return draws.reshape(trials, *mass.shape)
+
+
 def _run_point(args: tuple[SweepConfig, str, int, int]) -> tuple[float, float]:
     """Empirical mean/std for one (kind, ratio, n) grid point."""
     config, kind_name, ratio_index, n = args

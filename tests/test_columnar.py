@@ -1,9 +1,9 @@
 """Columnar samples and the stacked variety kernel against the tuple-era code.
 
-The golden files under ``tests/golden/`` were written by the per-observation
-implementation that preceded ``SampleSet``'s array columns; the reference
-functions below restate that implementation's arithmetic, so the columnar
-path must reproduce it bit for bit.
+The reference functions below restate the per-observation implementation
+that preceded ``SampleSet``'s array columns.  The variety kernel must
+reproduce its arithmetic bit for bit; subsample count tables, drawn whole
+rather than answer by answer, must follow the same law as its picks.
 """
 
 import json
@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import ks_2samp
+
 from fvariety import (
     BUILTIN_KINDS,
+    TVD,
     JointDistribution,
     RandomStream,
     RespondentFilter,
@@ -27,11 +30,22 @@ from fvariety import (
 from fvariety.cli import main as cli_main
 from fvariety.divergence import _variety_stack, f_variety, pointwise_contributions
 from fvariety.errors import BadShape
-from fvariety.estimation import _count_varieties, _subsampled_values
+from fvariety.estimation import (
+    _count_varieties,
+    _subsample_tables,
+    _subsampled_values,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "athletes_like"
 KINDS = sorted(BUILTIN_KINDS)
+
+# Bounds of the distribution tests, fixed before they were first run: a
+# two-sample KS test of trial values must not reject at KS_ALPHA, and each
+# cell's mean count lies within MEAN_SE standard errors of its expectation,
+# plus one count over all trials for cells too rare for the normal law.
+KS_ALPHA = 1e-4
+MEAN_SE = 5
 
 
 def reference_f_variety(dist: JointDistribution, kind) -> float:
@@ -189,24 +203,64 @@ def test_mass_stack_equals_per_table_variety(
         assert value == reference_f_variety(dist, kind)
 
 
-@pytest.mark.parametrize("kind_name", KINDS)
-@pytest.mark.parametrize("unchosen_option", [True, False])
-def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_option):
-    # an unchosen option is a filtered group that never picked the last
-    # label: that choice row of every table, full-size ones too, is empty
-    kind = BUILTIN_KINDS[kind_name]
-    rng = np.random.default_rng(404)
-    n_choices = 3
-    samples = SampleSet(
+def answers(n_choices, unchosen_option, seed):
+    """120 answers; with ``unchosen_option`` nobody picks the last choice."""
+    rng = np.random.default_rng(seed)
+    return SampleSet(
         n_choices=n_choices,
         n_bins=11,
         choices=rng.integers(0, n_choices - unchosen_option, size=120),
         bins=rng.integers(0, 11, size=120),
     )
-    for size in (1, 17, len(samples)):
-        got = _subsampled_values(samples, size, kind, 40, RandomStream(9))
-        want = reference_subsampled_values(samples, size, kind, 40, RandomStream(9))
-        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind_name", KINDS)
+@pytest.mark.parametrize("unchosen_option", [True, False])
+def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_option):
+    # subsample values follow the law of the np.add.at oracle's.  An
+    # unchosen option is a filtered group that never picked the last
+    # label: that choice row of every table, full-size ones too, is empty
+    kind = BUILTIN_KINDS[kind_name]
+    samples = answers(3, unchosen_option, 404)
+    for size in (17, 60):
+        got = _subsampled_values(samples, size, kind, 1000, RandomStream(9))
+        want = reference_subsampled_values(samples, size, kind, 1000, RandomStream(10))
+        assert ks_2samp(got, want).pvalue > KS_ALPHA
+    # a full-size subsample is the group itself, in every trial
+    size = len(samples)
+    got = _subsampled_values(samples, size, kind, 40, RandomStream(9))
+    want = reference_subsampled_values(samples, size, kind, 40, RandomStream(10))
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [17, 60])
+@pytest.mark.parametrize("n_choices", [2, 3])
+def test_subsample_tables_follow_the_law_of_the_reference(n_choices, size):
+    trials = 2000
+    samples = answers(n_choices, False, 405)
+    table = samples.count_table()
+    tables = _subsample_tables(table, size, trials, RandomStream(31))
+    want = reference_subsampled_values(samples, size, TVD, trials, RandomStream(32))
+    assert ks_2samp(_count_varieties(tables, TVD), want).pvalue > KS_ALPHA
+    # hypergeometric cell means and variances
+    total = len(samples)
+    share = table / total
+    var = size * share * (1 - share) * (total - size) / (total - 1)
+    gap = np.abs(tables.mean(axis=0) - size * share)
+    assert np.all(gap <= MEAN_SE * np.sqrt(var / trials) + 1 / trials)
+
+
+@pytest.mark.parametrize("unchosen_option", [True, False])
+def test_subsample_tables_sum_to_size_within_the_group(unchosen_option):
+    table = answers(3, unchosen_option, 406).count_table()
+    total = int(table.sum())
+    for size in (1, 17, total - 1, total):
+        tables = _subsample_tables(table, size, 300, RandomStream(size))
+        assert tables.shape == (300, *table.shape)
+        assert np.all(tables.sum(axis=(1, 2)) == size)
+        assert np.all(tables <= table)
+    # the whole group gives the group's own table in every trial
+    assert np.all(tables == table)
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,43 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from fvariety import SweepConfig, get_preset, run_sweep, write_sweep
+from fvariety import (
+    TVD,
+    BetaParams,
+    PopulationModel,
+    RandomStream,
+    SweepConfig,
+    draw_samples,
+    exact_discretized_joint,
+    get_preset,
+    run_sweep,
+    write_sweep,
+)
 from fvariety.errors import ConfigError, IoError, InvalidGenerator
-from fvariety.experiments import CSV_HEADER, DEFAULT_RATIOS, DEFAULT_SAMPLE_SIZES
+from fvariety.estimation import _count_varieties
+from fvariety.experiments import (
+    CSV_HEADER,
+    DEFAULT_RATIOS,
+    DEFAULT_SAMPLE_SIZES,
+    _sample_tables,
+)
+
+# Bounds of the distribution tests, fixed before they were first run: a
+# two-sample KS test of trial values must not reject at KS_ALPHA, and each
+# cell's mean count lies within MEAN_SE standard errors of its expectation,
+# plus one count over all trials for cells too rare for the normal law.
+KS_ALPHA = 1e-4
+MEAN_SE = 5
+
+THREE_CHOICES = PopulationModel(
+    n_choices=3,
+    expert_choice_weights=(0.2, 0.5, 0.3),
+    expert_prediction=(BetaParams(2, 5), BetaParams(5, 2), BetaParams(3, 3)),
+    nonexpert_prediction=BetaParams(2, 2),
+    nonexpert_ratio=0.4,
+)
 
 SMALL = dict(
     ratios=(0.0, 0.5, 1.0),
@@ -117,6 +150,42 @@ class TestRunSweep:
     def test_std_columns_nonnegative(self):
         rows = run_sweep(SweepConfig(model=get_preset("non-uniform-2"), **SMALL))
         assert all(r.empirical_std >= 0.0 for r in rows)
+
+
+class TestSampleTables:
+    """Multinomial count tables against the public per-respondent sampler."""
+
+    TRIALS = 2000
+
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize(
+        "model",
+        [get_preset("uniform-1").with_ratio(0.3), THREE_CHOICES],
+        ids=["uniform-1", "three-choices"],
+    )
+    def test_tables_follow_the_law_of_draw_samples(self, model, n):
+        mass = exact_discretized_joint(model).mass
+        tables = _sample_tables(mass, n, self.TRIALS, RandomStream(21))
+        root = RandomStream(22)
+        oracle = np.stack([
+            draw_samples(model, n, root.spawn("oracle", t)).count_table()
+            for t in range(self.TRIALS)
+        ])
+        assert tables.shape == oracle.shape
+        assert np.all(tables.sum(axis=(1, 2)) == n)
+        values = _count_varieties(tables, TVD)
+        assert ks_2samp(values, _count_varieties(oracle, TVD)).pvalue > KS_ALPHA
+        p = mass / mass.sum()
+        se = np.sqrt(n * p * (1 - p) / self.TRIALS)
+        for counts in (tables, oracle):
+            gap = np.abs(counts.mean(axis=0) - n * p)
+            assert np.all(gap <= MEAN_SE * se + 1 / self.TRIALS)
+
+    def test_same_stream_same_tables(self):
+        mass = exact_discretized_joint(THREE_CHOICES).mass
+        a = _sample_tables(mass, 50, 10, RandomStream(3).spawn("x"))
+        b = _sample_tables(mass, 50, 10, RandomStream(3).spawn("x"))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestWriteSweep:
