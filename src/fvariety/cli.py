@@ -87,6 +87,8 @@ def _parse_list(text: str, convert: type, option: str) -> tuple:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = SweepConfig(
         model=_resolve_model(args),
         ratios=_parse_list(args.ratios, float, "--ratios"),

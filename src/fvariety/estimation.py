@@ -9,7 +9,7 @@ error bar on exactly one side.
 
 ``_count_varieties`` and ``_trial_std`` stay private although the sweep
 in :mod:`fvariety.experiments` calls them: they score raw count stacks
-that only the two trial loops build.
+that only the sweep and the group comparison draw.
 """
 
 from __future__ import annotations
@@ -186,19 +186,11 @@ def _subsampled_values(
     """Metric over ``trials`` without-replacement subsamples of ``size`` answers.
 
     Each answer is one respondent's, so a subsample of answers is a
-    subsample of respondents.  Each trial uses its own derived stream, so
-    values do not depend on evaluation order.
+    subsample of respondents.  The values depend only on the group's
+    count table and ``stream``, not on the order of its answers.
     """
-    n_cells = samples.n_choices * samples.n_bins
-    cells = samples.choices * samples.n_bins + samples.bins
-    counts = np.empty((trials, n_cells), dtype=np.intp)
-    for t in range(trials):
-        rng = stream.spawn("subsample-trial", t).generator
-        picked = rng.choice(len(samples), size=size, replace=False)
-        counts[t] = np.bincount(cells[picked], minlength=n_cells)
-    return _count_varieties(
-        counts.reshape(trials, samples.n_choices, samples.n_bins), kind
-    )
+    tables = _subsample_tables(samples.count_table(), size, trials, stream)
+    return _count_varieties(tables, kind)
 
 
 def compare_groups_equalized(

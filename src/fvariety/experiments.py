@@ -1,18 +1,18 @@
 """Ratio-and-sample-size sweeps with plot-ready tables.
 
-For every (divergence, non-expert ratio, sample size) grid point the
-sweep draws ``trials_per_point`` independent sample sets, records the
-mean and std of the empirical variety, and attaches the two theoretical
-values (continuous-model quadrature and exact discretized joint).
-Per-trial seeds are derived from (base_seed, kind, ratio index, n, trial
-index), so results are identical at any parallelism level and extending
-the grid never perturbs existing points.
+For every (non-expert ratio, sample size) grid point the sweep draws
+``trials_per_point`` independent count tables, scores them with every
+requested divergence, records the mean and std of each kind's empirical
+variety, and attaches the two theoretical values (continuous-model
+quadrature and exact discretized joint).  A point's tables come from one
+stream derived from (base_seed, ratio index, n), so results are identical
+at any parallelism level, and adding ratios, sizes or kinds never
+perturbs existing points.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -22,12 +22,7 @@ from .divergence import f_variety, get_kind
 from .errors import ConfigError, IoError
 from .estimation import N_PREDICTION_BINS, _count_varieties, _trial_std
 from .sampling import RandomStream
-from .synthesis import (
-    PopulationModel,
-    _continuous_varieties,
-    draw_samples,
-    exact_discretized_joint,
-)
+from .synthesis import PopulationModel, _continuous_varieties, exact_discretized_joint
 
 DEFAULT_RATIOS = tuple(k / 10 for k in range(11))
 DEFAULT_SAMPLE_SIZES = (100, 200, 500, 1000)
@@ -87,62 +82,64 @@ def _sample_tables(
     return draws.reshape(trials, *mass.shape)
 
 
-def _run_point(args: tuple[SweepConfig, str, int, int]) -> tuple[float, float]:
-    """Empirical mean/std for one (kind, ratio, n) grid point."""
-    config, kind_name, ratio_index, n = args
-    kind = get_kind(kind_name)
-    model = config.model.with_ratio(config.ratios[ratio_index])
-    root = RandomStream(config.base_seed)
-    counts = np.empty(
-        (config.trials_per_point, model.n_choices, N_PREDICTION_BINS), dtype=np.intp
-    )
-    for t in range(config.trials_per_point):
-        stream = root.spawn(kind_name, ratio_index, n, t)
-        counts[t] = draw_samples(model, n, stream).count_table()
-    values = _count_varieties(counts, kind)
-    return float(values.mean()), _trial_std(values)
+def _run_point(
+    args: tuple[SweepConfig, np.ndarray, int, int]
+) -> list[tuple[float, float]]:
+    """Empirical (mean, std) of every kind at one (ratio, n) grid point.
+
+    ``args`` holds the config, the ratio's discretized joint mass, the
+    ratio index and n.  Every kind scores the same tables.
+    """
+    config, mass, ratio_index, n = args
+    stream = RandomStream(config.base_seed).spawn("tables", ratio_index, n)
+    counts = _sample_tables(mass, n, config.trials_per_point, stream)
+    stats = []
+    for name in config.divergences:
+        values = _count_varieties(counts, get_kind(name))
+        stats.append((float(values.mean()), _trial_std(values)))
+    return stats
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[SweepRow, ...]:
     """Run the full grid; ``jobs`` > 1 fans points out to worker processes."""
     kinds = [get_kind(name) for name in config.divergences]
-    theory: dict[tuple[str, int], tuple[float, float]] = {}
+    theory: list[list[tuple[float, float]]] = []  # [ratio index][kind]
+    points = []
     for ri, ratio in enumerate(config.ratios):
         model = config.model.with_ratio(ratio)
         joint = exact_discretized_joint(model)
         conts = _continuous_varieties(model, kinds)
-        for kind_name, kind, cont in zip(config.divergences, kinds, conts):
-            theory[(kind_name, ri)] = (cont, f_variety(joint, kind))
+        theory.append([(c, f_variety(joint, k)) for k, c in zip(kinds, conts)])
+        points.extend((config, joint.mass, ri, n) for n in config.sample_sizes)
 
-    points = [
-        (config, kind_name, ri, n)
-        for kind_name in config.divergences
-        for ri in range(len(config.ratios))
-        for n in config.sample_sizes
-    ]
     # a fork-based pool starts all its workers at the first submit, so
     # never ask for more of them than there are points
     workers = min(jobs, len(points))
     if workers <= 1:
         stats = [_run_point(p) for p in points]
     else:
+        # imported here: a serial run should not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(_run_point, points))
 
     rows = []
-    for (cfg, kind_name, ri, n), (mean, std) in zip(points, stats):
-        cont, disc = theory[(kind_name, ri)]
-        rows.append(
-            SweepRow(
-                kind=kind_name,
-                ratio=cfg.ratios[ri],
-                n=n,
-                empirical_mean=mean,
-                empirical_std=std,
-                theoretical_continuous=cont,
-                theoretical_discretized=disc,
+    for k, kind_name in enumerate(config.divergences):
+        for (_, _, ri, n), point in zip(points, stats):
+            mean, std = point[k]
+            cont, disc = theory[ri][k]
+            rows.append(
+                SweepRow(
+                    kind=kind_name,
+                    ratio=config.ratios[ri],
+                    n=n,
+                    empirical_mean=mean,
+                    empirical_std=std,
+                    theoretical_continuous=cont,
+                    theoretical_discretized=disc,
+                )
             )
-        )
     return tuple(rows)
 
 

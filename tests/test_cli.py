@@ -116,15 +116,25 @@ class TestSimulate:
         assert len(lines) == 3
 
     def test_identical_trial_values_report_exact_zero_std(self, tmp_path):
-        # at n=10 and no noise both kl trials score 0.8 ln 2, a few ulps
-        # apart; that round-off must not be written as a std of ~1e-16
+        # the two choices' predictions never share a bin (a shared bin has
+        # mass ~1e-16), so every table's kl variety is ln 2; tables differ,
+        # and so do the rounding paths, leaving values a few ulps apart.
+        # That round-off must not be written as a std of ~1e-16
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "n_choices": 2,
+            "expert_weights": [0.5, 0.5],
+            "expert_beta": [[1, 60], [60, 1]],
+            "nonexpert_beta": [2, 2],
+            "nonexpert_ratio": 0.0,
+        }))
         out = tmp_path / "sweep.csv"
-        assert main(["simulate", "--preset", "uniform-1", "--divergence", "kl",
-                     "--trials", "2", "--sizes", "10", "--ratios", "0,1",
+        assert main(["simulate", "--model", str(model_path), "--divergence", "kl",
+                     "--trials", "50", "--sizes", "10,20", "--ratios", "0",
                      "--out", str(out)]) == 0
-        first = out.read_text().splitlines()[1].split(",")
-        assert first[:3] == ["kl", "0", "10"]
-        assert first[4] == "0"
+        for line in out.read_text().splitlines()[1:]:
+            kind, ratio, n, mean, std = line.split(",")[:5]
+            assert (kind, ratio, mean, std) == ("kl", "0", "0.693147", "0")
 
     def test_json_by_extension(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -224,6 +234,30 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for command in ("compute", "theoretical", "simulate", "analyze"):
         assert command in proc.stdout
+
+
+def test_serial_commands_import_no_process_pool(tmp_path):
+    # the pool is loaded only by a sweep that fans out
+    fixture = SRC.parent / "fixtures" / "athletes_like"
+    script = f"""
+import sys
+from fvariety.cli import main
+assert main(["simulate", "--preset", "uniform-1", "--divergence", "tvd",
+             "--trials", "2", "--ratios", "0,0.5", "--sizes", "20", "--jobs", "1",
+             "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+assert main(["analyze", "--responses", {str(fixture / "responses.csv")!r},
+             "--respondents", {str(fixture / "respondents.csv")!r},
+             "--filter", "watches_sports=often",
+             "--filter-b", "watches_sports in often|rarely", "--trials", "20",
+             "--format", "csv", "--out", {str(tmp_path / "report.csv")!r}]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=SRC
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_imports_neither_scipy_nor_mpmath(tmp_path):

@@ -126,6 +126,31 @@ def test_analyze_json_comparison_matches_golden(tmp_path):
     assert analyze_compare_payload(tmp_path) == golden
 
 
+def test_two_group_comparison_ignores_row_order(tmp_path):
+    # a comparison reads only each group's count table, so the order of
+    # the rows in responses.csv cannot move a subsample statistic
+    header, *rows = (FIXTURE / "responses.csv").read_text().splitlines()
+    shuffled = list(rows)
+    np.random.default_rng(8).shuffle(shuffled)
+    assert shuffled != rows
+    reordered = tmp_path / "responses.csv"
+    reordered.write_text("\n".join([header, *shuffled]) + "\n")
+    reports = []
+    for responses in (FIXTURE / "responses.csv", reordered):
+        out = tmp_path / f"report-{len(reports)}.csv"
+        assert cli_main([
+            "analyze",
+            "--responses", str(responses),
+            "--respondents", str(FIXTURE / "respondents.csv"),
+            "--questions", "Q1,Q2,Q3,Q4,Q5,Q6,Q7",
+            "--filter", "watches_sports=often",
+            "--filter-b", "watches_sports in often|rarely",
+            "--trials", "200", "--format", "csv", "--out", str(out),
+        ]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_equal_size_comparison_reports_exact_zero_std():
     # 300 vs 300: every subsample is the whole group, so all 1000 trial
     # values are equal; their float mean used to leave std ~1e-17

@@ -14,6 +14,7 @@ from fvariety import (
     get_preset,
 )
 from fvariety.errors import BadShape, EmptySampleSet
+from fvariety.estimation import _trial_std
 
 
 def sample_set(pairs, n_choices=2, n_bins=11):
@@ -161,6 +162,18 @@ class TestCompareGroupsEqualized:
             for seed in (10, 11)
         ]
         assert abs(means[0] - means[1]) < 0.01
+
+
+class TestTrialStd:
+    def test_values_ulps_apart_have_exact_zero_std(self):
+        value = np.log(2.0)
+        values = value + np.spacing(value) * np.array([0, 1, -1, 2, 0, -2])
+        assert values.std(ddof=1) > 0.0  # the premise: not one float value
+        assert _trial_std(values) == 0.0
+
+    def test_real_spread_keeps_its_std(self):
+        values = np.log(2.0) + np.array([0.0, 1e-9, -2e-9])
+        assert _trial_std(values) == values.std(ddof=1) > 0.0
 
 
 class TestGroupComparisonSerialization:

@@ -123,7 +123,7 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("fvariety.experiments.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         config = SweepConfig(
             model=get_preset("uniform-1"), **{**SMALL, "ratios": (0.5,)}
         )

@@ -140,6 +140,15 @@ class TestRegressions:
                              "--out", str(tmp_path / "x.csv")])
         assert option in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_non_positive_jobs(self, tmp_path, jobs):
+        out = tmp_path / "x.csv"
+        err = assert_exit_2(["simulate", "--preset", "uniform-1", "--ratios", "0.5",
+                             "--sizes", "20", "--trials", "2", f"--jobs={jobs}",
+                             "--out", str(out)])
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     def test_negative_seed(self, survey, tmp_path, command):
         if command == "simulate":
