@@ -20,7 +20,7 @@ import numpy as np
 
 from .divergence import f_variety, get_kind
 from .errors import ConfigError, IoError
-from .estimation import N_PREDICTION_BINS, _count_varieties, _trial_std
+from .estimation import _count_varieties, _trial_std
 from .sampling import RandomStream
 from .synthesis import PopulationModel, _continuous_varieties, exact_discretized_joint
 

@@ -181,12 +181,6 @@ class TestSampleTables:
             gap = np.abs(counts.mean(axis=0) - n * p)
             assert np.all(gap <= MEAN_SE * se + 1 / self.TRIALS)
 
-    def test_same_stream_same_tables(self):
-        mass = exact_discretized_joint(THREE_CHOICES).mass
-        a = _sample_tables(mass, 50, 10, RandomStream(3).spawn("x"))
-        b = _sample_tables(mass, 50, 10, RandomStream(3).spawn("x"))
-        np.testing.assert_array_equal(a, b)
-
 
 class TestWriteSweep:
     def test_csv_layout(self, tmp_path):
