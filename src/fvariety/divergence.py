@@ -121,10 +121,12 @@ def pointwise_contributions(
     out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
     p, q = np.broadcast_arrays(p, q)
 
-    both = (p > 0.0) & (q > 0.0)
+    # a p > 0 so small that q/p could overflow takes the p -> 0 limit, q * tail
+    negligible = q * 1e-300
+    both = (p > negligible) & (q > 0.0)
     if np.any(both):
         out[both] = p[both] * np.asarray(kind.generator(q[both] / p[both]))
-    q_only = (p == 0.0) & (q > 0.0)
+    q_only = (p <= negligible) & (q > 0.0)
     if np.any(q_only):
         out[q_only] = q[q_only] * kind.tail
     p_only = (p > 0.0) & (q == 0.0)

@@ -4,9 +4,13 @@ an independent QUADPACK oracle.
 
 ``tests/golden/theoretical_tvd_kl_pearson_hellinger.json`` holds
 ``variety theoretical`` stdout; every ``continuous`` value in it must lie
-within 1e-8 of the oracle.
+within 1e-8 of the oracle.  On random models with Beta shapes of at least
+1, ``theoretical`` finishes with finite values that discretization never
+exceeds.
 """
 
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -284,3 +288,46 @@ def test_shared_kinks_match_one_kind_calls():
     kinds = [BUILTIN_KINDS[name] for name in KINDS]
     values = _continuous_varieties(model, kinds, 1e-8)
     assert values == [continuous_f_variety(model, kind, 1e-8) for kind in kinds]
+
+
+# shapes below 1 are left out: some of those models still fail on a
+# non-finite end panel
+log_shapes = st.floats(0.0, math.log(300.0)).map(math.exp)
+
+
+@st.composite
+def separated_models(draw):
+    """2-4 choices, Dirichlet(1) weights, Beta shapes log-uniform in [1, 300]."""
+    n_choices = draw(st.integers(2, 4))
+    uniforms = st.floats(1e-3, 1.0, exclude_max=True)
+    draws = draw(st.lists(uniforms, min_size=n_choices, max_size=n_choices))
+    exponentials = [-math.log(u) for u in draws]
+    weights = [e / sum(exponentials) for e in exponentials]
+    shape = st.tuples(log_shapes, log_shapes)
+    return {
+        "n_choices": n_choices,
+        "expert_weights": weights,
+        "expert_beta": draw(st.lists(shape, min_size=n_choices, max_size=n_choices)),
+        "nonexpert_beta": draw(shape),
+        "nonexpert_ratio": draw(st.floats(0.0, 1.0)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(separated_models())
+def test_theoretical_is_finite_and_bounds_the_discretized_value(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(model))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["theoretical", "--model", str(path),
+                         "--divergence", ",".join(KINDS)])
+    assert (code, err.getvalue()) == (0, "")
+    values = {}
+    for line in out.getvalue().splitlines():
+        kind, view, value = line.split()
+        values[kind, view] = float(value)
+    assert len(values) == 2 * len(KINDS)
+    assert all(math.isfinite(v) for v in values.values())
+    for kind in KINDS:
+        assert values[kind, "continuous"] >= values[kind, "discretized"] - ORACLE_TOL

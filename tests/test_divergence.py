@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fvariety import (
     tvd_variety_binary_closed_form,
     uninformative_projection,
 )
+from fvariety.divergence import pointwise_contributions
 from fvariety.errors import (
     InvalidGenerator,
     LengthMismatch,
@@ -120,6 +122,14 @@ class TestFDivergence:
         assert f_divergence([0.0, 1.0], [0.5, 0.5], TVD) == pytest.approx(0.5)
         assert f_divergence([1.0, 0.0], [0.5, 0.5], TVD) == pytest.approx(0.5)
         assert f_divergence([0.5, 0.5, 0.0], [0.5, 0.5, 0.0], TVD) == 0.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_negligible_p_takes_the_p_to_zero_limit(self, kind):
+        # q/p = 1e320 overflows; the term is its p -> 0 limit, q * tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            term = pointwise_contributions(np.array([1e-320]), np.array([1.0]), kind)
+        assert term.tolist() == [kind.tail]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
