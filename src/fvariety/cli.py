@@ -97,7 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         divergences=tuple(n.strip() for n in args.divergence.split(",") if n.strip()),
         base_seed=args.seed,
     )
-    rows = run_sweep(config, jobs=args.jobs)
+    rows = run_sweep(config)
     fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
     write_sweep(rows, args.out, format=fmt)
     return EXIT_OK
@@ -174,7 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(n) for n in DEFAULT_SAMPLE_SIZES),
         help="comma-separated sample sizes",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored (must be >= 1): a sweep runs in one process",
+    )
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(func=_cmd_simulate)

@@ -4,10 +4,10 @@ For every (non-expert ratio, sample size) grid point the sweep draws
 ``trials_per_point`` independent count tables, scores them with every
 requested divergence, records the mean and std of each kind's empirical
 variety, and attaches the two theoretical values (continuous-model
-quadrature and exact discretized joint).  A point's tables come from one
-stream derived from (base_seed, ratio index, n), so results are identical
-at any parallelism level, and adding ratios, sizes or kinds never
-perturbs existing points.
+quadrature and exact discretized joint).  The whole grid runs in one
+process.  A point's tables come from one stream derived from (base_seed,
+ratio index, n), so results are identical across runs, and adding
+ratios, sizes or kinds never perturbs existing points.
 """
 
 from __future__ import annotations
@@ -82,65 +82,39 @@ def _sample_tables(
     return draws.reshape(trials, *mass.shape)
 
 
-def _run_point(
-    args: tuple[SweepConfig, np.ndarray, int, int]
-) -> list[tuple[float, float]]:
-    """Empirical (mean, std) of every kind at one (ratio, n) grid point.
+def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
+    """Run the full grid; rows are kind-major, in ``config.divergences`` order.
 
-    ``args`` holds the config, the ratio's discretized joint mass, the
-    ratio index and n.  Every kind scores the same tables.
+    Every kind scores the same tables of a point, drawn from the stream
+    ``spawn("tables", ratio index, n)``.
     """
-    config, mass, ratio_index, n = args
-    stream = RandomStream(config.base_seed).spawn("tables", ratio_index, n)
-    counts = _sample_tables(mass, n, config.trials_per_point, stream)
-    stats = []
-    for name in config.divergences:
-        values = _count_varieties(counts, get_kind(name))
-        stats.append((float(values.mean()), _trial_std(values)))
-    return stats
-
-
-def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[SweepRow, ...]:
-    """Run the full grid; ``jobs`` > 1 fans points out to worker processes."""
     kinds = [get_kind(name) for name in config.divergences]
-    theory: list[list[tuple[float, float]]] = []  # [ratio index][kind]
-    points = []
+    root = RandomStream(config.base_seed)
+    blocks: list[list[SweepRow]] = [[] for _ in kinds]  # one per entry, duplicates kept
     for ri, ratio in enumerate(config.ratios):
         model = config.model.with_ratio(ratio)
         joint = exact_discretized_joint(model)
         conts = _continuous_varieties(model, kinds)
-        theory.append([(c, f_variety(joint, k)) for k, c in zip(kinds, conts)])
-        points.extend((config, joint.mass, ri, n) for n in config.sample_sizes)
-
-    # a fork-based pool starts all its workers at the first submit, so
-    # never ask for more of them than there are points
-    workers = min(jobs, len(points))
-    if workers <= 1:
-        stats = [_run_point(p) for p in points]
-    else:
-        # imported here: a serial run should not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_run_point, points))
-
-    rows = []
-    for k, kind_name in enumerate(config.divergences):
-        for (_, _, ri, n), point in zip(points, stats):
-            mean, std = point[k]
-            cont, disc = theory[ri][k]
-            rows.append(
-                SweepRow(
-                    kind=kind_name,
-                    ratio=config.ratios[ri],
-                    n=n,
-                    empirical_mean=mean,
-                    empirical_std=std,
-                    theoretical_continuous=cont,
-                    theoretical_discretized=disc,
+        discs = [f_variety(joint, kind) for kind in kinds]
+        for n in config.sample_sizes:
+            stream = root.spawn("tables", ri, n)
+            counts = _sample_tables(joint.mass, n, config.trials_per_point, stream)
+            for block, name, kind, cont, disc in zip(
+                blocks, config.divergences, kinds, conts, discs
+            ):
+                values = _count_varieties(counts, kind)
+                block.append(
+                    SweepRow(
+                        kind=name,
+                        ratio=ratio,
+                        n=n,
+                        empirical_mean=float(values.mean()),
+                        empirical_std=_trial_std(values),
+                        theoretical_continuous=cont,
+                        theoretical_discretized=disc,
+                    )
                 )
-            )
-    return tuple(rows)
+    return tuple(row for block in blocks for row in block)
 
 
 CSV_HEADER = "kind,ratio,n,mean,std,theory_cont,theory_disc"

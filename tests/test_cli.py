@@ -100,6 +100,30 @@ class TestTheoretical:
         assert captured.err.startswith("error:")
         assert "nan" not in captured.out
 
+    def test_barely_overlapping_experts(self, tmp_path, capsys):
+        # where one choice's density underflows, q/p overflows; those terms
+        # take their p -> 0 limit, and the two choices' predictions are
+        # disjoint up to ~1e-16 of mass
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "n_choices": 2,
+            "expert_weights": [0.5, 0.5],
+            "expert_beta": [[5, 200], [200, 5]],
+            "nonexpert_beta": [2, 2],
+            "nonexpert_ratio": 0.0,
+        }))
+        assert main(["theoretical", "--model", str(model_path),
+                     "--divergence", "tvd,kl,pearson,hellinger"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        expected = {"tvd": "0.5", "kl": "0.69314718056", "pearson": "1",
+                    "hellinger": "0.292893218813"}
+        assert captured.out.splitlines() == [
+            f"{kind} {view} {value}"
+            for kind, value in expected.items()
+            for view in ("continuous", "discretized")
+        ]
+
 
 class TestSimulate:
     ARGS = [
@@ -236,15 +260,16 @@ def test_module_entry_point_help():
         assert command in proc.stdout
 
 
-def test_serial_commands_import_no_process_pool(tmp_path):
-    # the pool is loaded only by a sweep that fans out
+def test_no_command_imports_a_process_pool(tmp_path):
+    # a sweep runs in one process whatever --jobs says
     fixture = SRC.parent / "fixtures" / "athletes_like"
     script = f"""
 import sys
 from fvariety.cli import main
-assert main(["simulate", "--preset", "uniform-1", "--divergence", "tvd",
-             "--trials", "2", "--ratios", "0,0.5", "--sizes", "20", "--jobs", "1",
-             "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+for jobs in ("1", "2"):
+    assert main(["simulate", "--preset", "uniform-1", "--divergence", "tvd",
+                 "--trials", "2", "--ratios", "0,0.5", "--sizes", "20,40",
+                 "--jobs", jobs, "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
 assert main(["analyze", "--responses", {str(fixture / "responses.csv")!r},
              "--respondents", {str(fixture / "respondents.csv")!r},
              "--filter", "watches_sports=often",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,42 +100,7 @@ class TestRunSweep:
 
     def test_deterministic_across_runs_and_jobs(self):
         config = SweepConfig(model=get_preset("uniform-1"), **SMALL)
-        sequential = run_sweep(config, jobs=1)
-        again = run_sweep(config, jobs=1)
-        parallel = run_sweep(config, jobs=3)
-        assert sequential == again
-        assert sequential == parallel
-
-    def test_workers_capped_at_grid_points(self, monkeypatch):
-        started = []
-
-        class SerialPool:
-            """Records the requested worker count and maps in-process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        config = SweepConfig(
-            model=get_preset("uniform-1"), **{**SMALL, "ratios": (0.5,)}
-        )
-        assert run_sweep(config, jobs=64) == run_sweep(config, jobs=1)
-        assert started == [2]
-        one_point = SweepConfig(
-            model=get_preset("uniform-1"),
-            **{**SMALL, "ratios": (0.5,), "sample_sizes": (50,)},
-        )
-        run_sweep(one_point, jobs=64)
-        assert started == [2]  # a single point runs without a pool
+        assert run_sweep(config) == run_sweep(config)
 
     def test_adding_a_kind_does_not_perturb_existing_points(self):
         base = run_sweep(SweepConfig(model=get_preset("uniform-1"), **SMALL))
@@ -146,6 +112,20 @@ class TestRunSweep:
         )
         tvd_rows = tuple(r for r in extended if r.kind == "tvd")
         assert tvd_rows == base
+
+    def test_repeated_kind_names_give_one_block_each(self):
+        def sweep(*names):
+            config = SweepConfig(
+                model=get_preset("uniform-1"), **{**SMALL, "divergences": names}
+            )
+            return run_sweep(config)
+
+        single = sweep("tvd")
+        rows = sweep("tvd", "TVD", "tvd")
+        assert len(rows) == 3 * len(single)
+        for k, name in enumerate(("tvd", "TVD", "tvd")):
+            block = rows[k * len(single):(k + 1) * len(single)]
+            assert block == tuple(replace(r, kind=name) for r in single)
 
     def test_std_columns_nonnegative(self):
         rows = run_sweep(SweepConfig(model=get_preset("non-uniform-2"), **SMALL))
