@@ -7,7 +7,8 @@ generator ``f`` with ``f(1) = 0``:
 
 Zero-mass cells follow the perspective-function limits: a cell with
 p = q = 0 contributes nothing; p = 0 < q contributes q * tail where
-tail = lim_{u->inf} f(u)/u; q = 0 < p contributes p * f(0+), which is
+tail = lim_{u->inf} f(u)/u, and so does a p > 0 below q * 1e-300, whose
+q/p could overflow; q = 0 < p contributes p * f(0+), which is
 +inf for generators that blow up at 0 (KL, Pearson) and is returned as
 an explicit infinity, never raised.
 
@@ -121,8 +122,7 @@ def pointwise_contributions(
     out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
     p, q = np.broadcast_arrays(p, q)
 
-    # a p > 0 so small that q/p could overflow takes the p -> 0 limit, q * tail
-    negligible = q * 1e-300
+    negligible = q * 1e-300  # p at or below it takes the p -> 0 limit
     both = (p > negligible) & (q > 0.0)
     if np.any(both):
         out[both] = p[both] * np.asarray(kind.generator(q[both] / p[both]))
