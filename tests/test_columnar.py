@@ -126,6 +126,42 @@ def test_analyze_json_comparison_matches_golden(tmp_path):
     assert analyze_compare_payload(tmp_path) == golden
 
 
+# (filter, filter_b) of the format goldens: one group; a larger group B
+# (B carries the error bar); a larger group A (A carries it)
+FORMAT_CASES = {
+    "single": ("watches_sports=often", None),
+    "side-b": ("watches_sports=often", "watches_sports in often|rarely"),
+    "side-a": ("watches_sports in often|rarely", "watches_sports=rarely"),
+}
+
+
+def analyze_formats_payload(tmp_path) -> str:
+    """``analyze`` output text in every format, by case and kind, as JSON."""
+    outputs = {}
+    for case, (filter_a, filter_b) in FORMAT_CASES.items():
+        for kind_name in ("tvd", "kl"):
+            for fmt in ("table", "csv", "json"):
+                out = tmp_path / f"{case}-{kind_name}.{fmt}"
+                argv = [
+                    "analyze",
+                    "--responses", str(FIXTURE / "responses.csv"),
+                    "--respondents", str(FIXTURE / "respondents.csv"),
+                    "--filter", filter_a,
+                    "--divergence", kind_name, "--trials", "1000",
+                    "--format", fmt, "--out", str(out),
+                ]
+                if filter_b is not None:
+                    argv += ["--filter-b", filter_b]
+                assert cli_main(argv) == 0
+                outputs[f"{case}/{kind_name}/{fmt}"] = out.read_text()
+    return json.dumps(outputs, indent=2) + "\n"
+
+
+def test_analyze_formats_match_golden(tmp_path):
+    golden = (GOLDEN / "analyze_formats_tvd_kl.json").read_text()
+    assert analyze_formats_payload(tmp_path) == golden
+
+
 def test_two_group_comparison_ignores_row_order(tmp_path):
     # a comparison reads only each group's count table, so the order of
     # the rows in responses.csv cannot move a subsample statistic
