@@ -176,23 +176,6 @@ def _subsample_tables(
     return draws.reshape(trials, *table.shape)
 
 
-def _subsampled_values(
-    samples: SampleSet,
-    size: int,
-    kind: DivergenceKind,
-    trials: int,
-    stream: RandomStream,
-) -> np.ndarray:
-    """Metric over ``trials`` without-replacement subsamples of ``size`` answers.
-
-    Each answer is one respondent's, so a subsample of answers is a
-    subsample of respondents.  The values depend only on the group's
-    count table and ``stream``, not on the order of its answers.
-    """
-    tables = _subsample_tables(samples.count_table(), size, trials, stream)
-    return _count_varieties(tables, kind)
-
-
 def compare_groups_equalized(
     group_a: SampleSet,
     group_b: SampleSet,
@@ -205,8 +188,9 @@ def compare_groups_equalized(
     A group's answers are its respondents, one answer each.  The smaller
     group's metric is computed once on everything it has; the larger
     group's answers are subsampled without replacement to the same count
-    ``trials`` times.  When sizes are equal the argument order is
-    kept, and every subsample is the whole group, so the larger group's
+    ``trials`` times, as count tables drawn from its own, so the order of
+    its answers cannot move them.  When sizes are equal the argument order
+    is kept, and every subsample is the whole group, so the larger group's
     mean is its own full-sample value and the std is exactly 0.
     """
     if len(group_a) == 0 or len(group_b) == 0:
@@ -224,7 +208,8 @@ def compare_groups_equalized(
     if size_a == size_b:
         mean, std = empirical_f_variety(large, kind), 0.0
     else:
-        values = _subsampled_values(large, size, kind, trials, stream)
+        tables = _subsample_tables(large.count_table(), size, trials, stream)
+        values = _count_varieties(tables, kind)
         mean, std = float(values.mean()), _trial_std(values)
     return GroupComparison(
         metric_name=kind.name,

@@ -19,7 +19,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import JointDistribution
 from .divergence import DivergenceKind, TVD, baseline, f_variety
 from .errors import (
     EmptyGroup,
@@ -441,30 +440,33 @@ class AnalysisReport:
         writer = csv.writer(buf, lineterminator="\n")
         # with a "\n" terminator csv leaves a bare "\r" unquoted; quote that row whole
         quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        if two_group:
-            writer.writerow((
+        writer.writerow(
+            (
                 "question_id", "metric", "respondents_a", "respondents_b",
                 "variety_a", "variety_b", "baseline_a", "baseline_b",
                 "resampled_side", "resampled_mean", "resampled_std",
                 "trials", "subsample_size",
-            ))
-            for r in self.rows:
+            )
+            if two_group
+            else ("question_id", "metric", "respondents", "variety", "baseline")
+        )
+        for r in self.rows:
+            if two_group:
                 cmp = r.comparison
                 assert cmp is not None and r.variety_b is not None
-                (quoted if "\r" in r.question_id else writer).writerow((
+                cells = (
                     r.question_id, r.metric_name, r.n_a, r.n_b,
                     f"{r.variety_a:.6g}", f"{r.variety_b:.6g}",
                     _fmt_opt(r.baseline_a), _fmt_opt(r.baseline_b),
                     r.resampled_side, f"{cmp.group_b_mean:.6g}",
                     f"{cmp.group_b_std:.6g}", cmp.trials, cmp.subsample_size,
-                ))
-        else:
-            writer.writerow(("question_id", "metric", "respondents", "variety", "baseline"))
-            for r in self.rows:
-                (quoted if "\r" in r.question_id else writer).writerow((
+                )
+            else:
+                cells = (
                     r.question_id, r.metric_name, r.n_a,
                     f"{r.variety_a:.6g}", _fmt_opt(r.baseline_a),
-                ))
+                )
+            (quoted if "\r" in r.question_id else writer).writerow(cells)
         return buf.getvalue()
 
     def to_table(self) -> str:
@@ -515,8 +517,11 @@ def _fmt_x100(value: float | None) -> str:
     return "" if value is None else f"{100 * value:.1f}"
 
 
-def _maybe_baseline(dist: JointDistribution) -> float | None:
-    return baseline(dist) if dist.n_choices == 2 else None
+def _group_metrics(samples: SampleSet, kind: DivergenceKind) -> tuple[int, float, float | None]:
+    """A group's respondent count, variety and, for two choices, baseline."""
+    joint = empirical_joint(samples)
+    variety = f_variety(joint, kind)
+    return len(samples), variety, baseline(joint) if joint.n_choices == 2 else None
 
 
 def analyze(
@@ -539,39 +544,17 @@ def analyze(
     rows = []
     for qid in question_ids:
         samples_a = extract_samples(dataset, qid, filter_a)
-        joint_a = empirical_joint(samples_a)
-        n_a = len(samples_a)
-        variety_a = f_variety(joint_a, kind)
-        baseline_a = _maybe_baseline(joint_a)
-        if filter_b is None:
-            rows.append(
-                QuestionReport(
-                    question_id=qid,
-                    metric_name=kind.name,
-                    n_a=n_a,
-                    variety_a=variety_a,
-                    baseline_a=baseline_a,
-                )
-            )
-            continue
-        samples_b = extract_samples(dataset, qid, filter_b)
-        joint_b = empirical_joint(samples_b)
-        n_b = len(samples_b)
-        comparison = compare_groups_equalized(
-            samples_a, samples_b, kind, trials=trials, stream=stream.spawn("q", qid)
-        )
-        rows.append(
-            QuestionReport(
-                question_id=qid,
-                metric_name=kind.name,
-                n_a=n_a,
-                variety_a=variety_a,
-                baseline_a=baseline_a,
-                n_b=n_b,
-                variety_b=f_variety(joint_b, kind),
-                baseline_b=_maybe_baseline(joint_b),
-                comparison=comparison,
+        n_a, variety_a, baseline_a = _group_metrics(samples_a, kind)
+        group_b: dict[str, Any] = {}
+        if filter_b is not None:
+            samples_b = extract_samples(dataset, qid, filter_b)
+            n_b, variety_b, baseline_b = _group_metrics(samples_b, kind)
+            group_b = dict(
+                n_b=n_b, variety_b=variety_b, baseline_b=baseline_b,
+                comparison=compare_groups_equalized(
+                    samples_a, samples_b, kind, trials=trials, stream=stream.spawn("q", qid)
+                ),
                 resampled_side="a" if n_a > n_b else "b",
             )
-        )
+        rows.append(QuestionReport(qid, kind.name, n_a, variety_a, baseline_a, **group_b))
     return AnalysisReport(rows=tuple(rows))

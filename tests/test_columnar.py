@@ -30,11 +30,7 @@ from fvariety import (
 from fvariety.cli import main as cli_main
 from fvariety.divergence import _variety_stack, f_variety, pointwise_contributions
 from fvariety.errors import BadShape
-from fvariety.estimation import (
-    _count_varieties,
-    _subsample_tables,
-    _subsampled_values,
-)
+from fvariety.estimation import _count_varieties, _subsample_tables
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "athletes_like"
@@ -284,12 +280,16 @@ def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_op
     kind = BUILTIN_KINDS[kind_name]
     samples = answers(3, unchosen_option, 404)
     for size in (17, 60):
-        got = _subsampled_values(samples, size, kind, 1000, RandomStream(9))
+        got = _count_varieties(
+            _subsample_tables(samples.count_table(), size, 1000, RandomStream(9)), kind
+        )
         want = reference_subsampled_values(samples, size, kind, 1000, RandomStream(10))
         assert ks_2samp(got, want).pvalue > KS_ALPHA
     # a full-size subsample is the group itself, in every trial
     size = len(samples)
-    got = _subsampled_values(samples, size, kind, 40, RandomStream(9))
+    got = _count_varieties(
+        _subsample_tables(samples.count_table(), size, 40, RandomStream(9)), kind
+    )
     want = reference_subsampled_values(samples, size, kind, 40, RandomStream(10))
     np.testing.assert_array_equal(got, want)
 
