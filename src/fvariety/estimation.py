@@ -35,6 +35,15 @@ _ROUND_OFF = 1e-12
 _KERNEL_BLOCK = 256
 
 
+def _index_column(name: str, column: Any) -> np.ndarray:
+    """``column`` as a flat intp copy; a float or bool column is refused,
+    not truncated.  An empty column of any dtype is an empty sample."""
+    values = np.asarray(column).reshape(-1)
+    if len(values) and not np.issubdtype(values.dtype, np.integer):
+        raise BadShape(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Observations as parallel columns plus the (n_choices, n_bins) shape.
@@ -42,7 +51,7 @@ class SampleSet:
     ``choices[i]`` and ``bins[i]`` are observation i's choice index and
     prediction bin.  Each observation is one respondent's answer, so the
     observation count is the respondent count.  The arrays are read-only
-    intp copies.
+    intp copies; a non-empty column must have an integer dtype.
     """
 
     n_choices: int
@@ -55,8 +64,8 @@ class SampleSet:
             raise BadShape(
                 f"sample shape ({self.n_choices}, {self.n_bins}) is invalid"
             )
-        choices = np.array(self.choices, dtype=np.intp).reshape(-1)
-        bins = np.array(self.bins, dtype=np.intp).reshape(-1)
+        choices = _index_column("choices", self.choices)
+        bins = _index_column("bins", self.bins)
         if len(choices) != len(bins):
             raise BadShape(f"{len(choices)} choices but {len(bins)} prediction bins")
         bad = (choices < 0) | (choices >= self.n_choices)

@@ -332,6 +332,12 @@ def test_subsample_tables_sum_to_size_within_the_group(unchosen_option):
         ([0, 1], [11, 0], "prediction bin 11"),
         ([0, 1], [0, -3], "prediction bin -3"),
         ([0, 1], [0], "2 choices but 1"),
+        # non-integer columns are refused, not truncated or cast
+        ([0.9, 1.7], [3.2, 10.99], "choices must be integers, got dtype float64"),
+        ([0, 1], [3.2, 10.99], "bins must be integers, got dtype float64"),
+        ([True], [0], "choices must be integers, got dtype bool"),
+        ([0], [False], "bins must be integers, got dtype bool"),
+        ([float("nan")], [0], "choices must be integers"),
     ],
 )
 def test_out_of_range_columns_raise_bad_shape(choices, bins, match):
