@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import JointDistribution
 from .divergence import DivergenceKind, _variety_stack, f_variety
-from .errors import BadShape, EmptySampleSet
+from .errors import BadShape, EmptySampleSet, ShapeMismatch
 from .sampling import RandomStream
 
 # Prediction options 0%, 10%, ..., 100%.
@@ -194,16 +194,22 @@ def compare_groups_equalized(
 ) -> GroupComparison:
     """Compare two groups at equal respondent counts.
 
-    A group's answers are its respondents, one answer each.  The smaller
-    group's metric is computed once on everything it has; the larger
-    group's answers are subsampled without replacement to the same count
-    ``trials`` times, as count tables drawn from its own, so the order of
-    its answers cannot move them.  When sizes are equal the argument order
-    is kept, and every subsample is the whole group, so the larger group's
-    mean is its own full-sample value and the std is exactly 0.
+    Both groups must have one ``(n_choices, n_bins)`` shape, else
+    :class:`ShapeMismatch`.  A group's answers are its respondents, one
+    answer each.  The smaller group's metric is computed once on
+    everything it has; the larger group's answers are subsampled without
+    replacement to the same count ``trials`` times, as count tables drawn
+    from its own, so the order of its answers cannot move them.  When
+    sizes are equal the argument order is kept, and every subsample is the
+    whole group, so the larger group's mean is its own full-sample value
+    and the std is exactly 0.
     """
     if len(group_a) == 0 or len(group_b) == 0:
         raise EmptySampleSet("both groups need at least one observation")
+    shape_a = (group_a.n_choices, group_a.n_bins)
+    shape_b = (group_b.n_choices, group_b.n_bins)
+    if shape_a != shape_b:
+        raise ShapeMismatch(f"group shapes {shape_a} and {shape_b} differ")
     if trials < 1:
         raise EmptySampleSet(f"trials must be >= 1, got {trials}")
     if stream is None:

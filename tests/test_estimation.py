@@ -13,7 +13,7 @@ from fvariety import (
     f_variety,
     get_preset,
 )
-from fvariety.errors import BadShape, EmptySampleSet
+from fvariety.errors import BadShape, EmptySampleSet, ShapeMismatch
 from fvariety.estimation import _trial_std
 
 
@@ -150,6 +150,16 @@ class TestCompareGroupsEqualized:
         samples = sample_set([(0, 1)])
         with pytest.raises(EmptySampleSet):
             compare_groups_equalized(samples, sample_set([]), TVD)
+
+    @pytest.mark.parametrize("shape_b", [(3, 11), (2, 5)])
+    def test_groups_of_different_shapes_rejected(self, shape_b):
+        # variety values of different tables are not comparable: the
+        # 2-choice vs 3-choice pair used to return a GroupComparison
+        group_a = sample_set([(0, 1), (1, 2)])
+        group_b = sample_set([(0, 1), (1, 2), (1, 4)], *shape_b)
+        for first, second in ((group_a, group_b), (group_b, group_a)):
+            with pytest.raises(ShapeMismatch, match="group shapes"):
+                compare_groups_equalized(first, second, TVD, trials=5)
 
     def test_mean_stabilizes_over_streams(self):
         model = get_preset("uniform-1").with_ratio(0.3)
