@@ -59,17 +59,25 @@ def _resolve_model(args: argparse.Namespace) -> PopulationModel:
     return get_preset(args.preset)
 
 
+def _kind_names(text: str) -> list[str]:
+    """Names in a ``--divergence`` comma list; empty entries are skipped."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ConfigError(f"--divergence names no kind, got {text!r}")
+    return names
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     dist = JointDistribution.from_json_dict(_load_json(args.joint))
-    for name in args.divergence.split(","):
-        kind = get_kind(name.strip())
+    for name in _kind_names(args.divergence):
+        kind = get_kind(name)
         print(f"{kind.name} {f_variety(dist, kind):.12g}")
     return EXIT_OK
 
 
 def _cmd_theoretical(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    kinds = [get_kind(name.strip()) for name in args.divergence.split(",")]
+    kinds = [get_kind(name) for name in _kind_names(args.divergence)]
     joint = exact_discretized_joint(model)
     for kind, cont in zip(kinds, _continuous_varieties(model, kinds, tol=args.tol)):
         print(f"{kind.name} continuous {cont:.12g}")
@@ -94,7 +102,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ratios=_parse_list(args.ratios, float, "--ratios"),
         sample_sizes=_parse_list(args.sizes, int, "--sizes"),
         trials_per_point=args.trials,
-        divergences=tuple(n.strip() for n in args.divergence.split(",") if n.strip()),
+        divergences=tuple(_kind_names(args.divergence)),
         base_seed=args.seed,
     )
     rows = run_sweep(config)

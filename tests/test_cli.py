@@ -250,6 +250,36 @@ class TestAnalyze:
         ]) == 3
 
 
+@pytest.mark.parametrize("command", ["compute", "theoretical", "simulate"])
+class TestDivergenceList:
+    def run(self, command, divergence, joint_path, tmp_path, capsys):
+        """(exit code, printed or written output, stderr) of one run."""
+        out = tmp_path / "sweep.csv"
+        argv = {
+            "compute": ["compute", "--joint", joint_path],
+            "theoretical": ["theoretical", "--preset", "uniform-1"],
+            "simulate": ["simulate", "--preset", "uniform-1", "--trials", "4",
+                         "--ratios", "0,1", "--sizes", "50", "--out", str(out)],
+        }[command]
+        code = main(argv + ["--divergence", divergence])
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else ""
+        out.unlink(missing_ok=True)
+        return code, captured.out + written, captured.err
+
+    @pytest.mark.parametrize("spelled", ["tvd,", ",tvd", " tvd , ,"])
+    def test_empty_entries_are_skipped(self, command, spelled, joint_path, tmp_path, capsys):
+        plain = self.run(command, "tvd", joint_path, tmp_path, capsys)
+        assert plain[0] == 0 and plain[1]
+        assert self.run(command, spelled, joint_path, tmp_path, capsys) == plain
+
+    @pytest.mark.parametrize("empty", [",", "", " , "])
+    def test_a_list_without_kinds_exits_2(self, command, empty, joint_path, tmp_path, capsys):
+        code, output, err = self.run(command, empty, joint_path, tmp_path, capsys)
+        assert (code, output) == (2, "")
+        assert err == f"error: --divergence names no kind, got {empty!r}\n"
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "fvariety.cli", "--help"],
