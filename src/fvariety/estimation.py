@@ -36,8 +36,12 @@ _KERNEL_BLOCK = 256
 
 
 def _index_column(name: str, column: Any) -> np.ndarray:
-    """``column`` as a flat intp copy; a float or bool column is refused,
-    not truncated.  An empty column of any dtype is an empty sample."""
+    """``column`` as a flat intp copy.
+
+    A non-empty column must have an integer dtype, so float and bool
+    columns are refused rather than truncated; an empty column of any
+    dtype (``[]`` is float) is an empty sample.
+    """
     values = np.asarray(column).reshape(-1)
     if len(values) and not np.issubdtype(values.dtype, np.integer):
         raise BadShape(f"{name} must be integers, got dtype {values.dtype}")
