@@ -14,6 +14,7 @@ that only the sweep and the group comparison draw.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,6 +49,16 @@ def _index_column(name: str, column: Any) -> np.ndarray:
     return values.astype(np.intp)
 
 
+def _shape_count(name: str, value: Any) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises BadShape."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadShape(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Observations as parallel columns plus the (n_choices, n_bins) shape.
@@ -64,10 +75,12 @@ class SampleSet:
     bins: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_choices < 2 or self.n_bins < 1:
-            raise BadShape(
-                f"sample shape ({self.n_choices}, {self.n_bins}) is invalid"
-            )
+        n_choices = _shape_count("n_choices", self.n_choices)
+        n_bins = _shape_count("n_bins", self.n_bins)
+        if n_choices < 2 or n_bins < 1:
+            raise BadShape(f"sample shape ({n_choices}, {n_bins}) is invalid")
+        object.__setattr__(self, "n_choices", n_choices)
+        object.__setattr__(self, "n_bins", n_bins)
         choices = _index_column("choices", self.choices)
         bins = _index_column("bins", self.bins)
         if len(choices) != len(bins):

@@ -8,6 +8,7 @@ cross-check against a binomial-sum oracle and scipy.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -90,19 +91,35 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Beta(a, b) density, vectorized; endpoints get their limit values."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
+def _beta_pdf_rows(x: np.ndarray, shapes: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Beta densities at the 1-D abscissae ``x``, one row per ``(a, b)``.
+
+    ``log(x)`` and ``log1p(-x)`` are taken once for every row.  The closed
+    endpoints get their limit values, points outside [0, 1] get 0, and a
+    NaN abscissa gives NaN.
+    """
+    a = np.array([float(s[0]) for s in shapes])[:, None]
+    b = np.array([float(s[1]) for s in shapes])[:, None]
+    log_norm = np.array([log_beta(*s) for s in shapes])[:, None]
+    if x.size and x.min() > 0.0 and x.max() < 1.0:  # NaN fails both
+        return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_norm)
+    out = np.zeros((len(shapes), len(x)))
     interior = (x > 0.0) & (x < 1.0)
-    if np.any(interior):
-        xi = x[interior]
-        out[interior] = np.exp(
-            (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - log_beta(a, b)
-        )
+    xi = x[interior]
+    out[:, interior] = np.exp(
+        (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - log_norm
+    )
+    out[:, np.isnan(x)] = math.nan
+    at_zero, at_one = x == 0.0, x == 1.0
     # density at the closed endpoints: finite only when the exponent is 0
-    if np.any(x == 0.0):
-        out[x == 0.0] = math.exp(-log_beta(a, b)) if a == 1.0 else (0.0 if a > 1.0 else math.inf)
-    if np.any(x == 1.0):
-        out[x == 1.0] = math.exp(-log_beta(a, b)) if b == 1.0 else (0.0 if b > 1.0 else math.inf)
+    for row, (a_, b_) in zip(out, shapes):
+        row[at_zero] = math.exp(-log_beta(a_, b_)) if a_ == 1.0 else (0.0 if a_ > 1.0 else math.inf)
+        row[at_one] = math.exp(-log_beta(a_, b_)) if b_ == 1.0 else (0.0 if b_ > 1.0 else math.inf)
     return out
+
+
+def beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Beta(a, b) density, vectorized; endpoints get their limit values,
+    points outside [0, 1] get 0 and NaN stays NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    return _beta_pdf_rows(x.ravel(), [(a, b)])[0].reshape(x.shape)

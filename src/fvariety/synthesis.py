@@ -27,10 +27,10 @@ import numpy as np
 from .distributions import JointDistribution
 from .divergence import DivergenceKind, f_variety, pointwise_contributions
 from .errors import BadShape, BadWeights, DomainError, QuadratureFailure
-from .estimation import N_PREDICTION_BINS, SampleSet
+from .estimation import N_PREDICTION_BINS, SampleSet, _shape_count
 from .quadrature import adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
-from .special import beta_pdf, regularized_incomplete_beta
+from .special import _beta_pdf_rows, regularized_incomplete_beta
 
 # Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
 _GRID_STEPS = N_PREDICTION_BINS - 1
@@ -71,8 +71,10 @@ class PopulationModel:
     nonexpert_ratio: float
 
     def __post_init__(self) -> None:
-        if self.n_choices < 2:
-            raise BadShape(f"need at least 2 choices, got {self.n_choices}")
+        n_choices = _shape_count("n_choices", self.n_choices)
+        if n_choices < 2:
+            raise BadShape(f"need at least 2 choices, got {n_choices}")
+        object.__setattr__(self, "n_choices", n_choices)
         weights = tuple(float(w) for w in self.expert_choice_weights)
         if len(weights) != self.n_choices:
             raise BadShape(
@@ -206,15 +208,18 @@ def _densities(model: PopulationModel, x: np.ndarray) -> tuple[np.ndarray, np.nd
     ratio = model.nonexpert_ratio
     n = model.n_choices
     x = np.asarray(x, dtype=np.float64)
+    noise = model.nonexpert_prediction
+    pdf = _beta_pdf_rows(
+        x,
+        [(p.alpha, p.beta) for p in model.expert_prediction]
+        + [(noise.alpha, noise.beta)],
+    )
     out = np.zeros((n, len(x)))
     if ratio > 0.0:
-        noise = model.nonexpert_prediction
-        noise_term = (ratio / n) * beta_pdf(x, noise.alpha, noise.beta)
-    for c, (w, expert) in enumerate(
-        zip(model.expert_choice_weights, model.expert_prediction)
-    ):
+        noise_term = (ratio / n) * pdf[n]
+    for c, w in enumerate(model.expert_choice_weights):
         if ratio < 1.0 and w > 0.0:
-            out[c] += (1.0 - ratio) * w * beta_pdf(x, expert.alpha, expert.beta)
+            out[c] += (1.0 - ratio) * w * pdf[c]
         if ratio > 0.0:
             out[c] += noise_term
     total = np.zeros(len(x))
@@ -230,17 +235,24 @@ def _continuous_varieties(
 
     The kinks do not depend on the kind, so every choice's crossings are
     located in one scan and each kind is integrated against all of them.
+    The kinds also refine many of the same panels; each panel's densities
+    are computed once per call and shared through a memo keyed by the
+    node array's bytes.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if _is_uninformative(model):
         return [0.0] * len(kinds)
     kinks = find_sign_changes(lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0)
+    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     totals = []
     for kind in kinds:
 
         def integrand(x: np.ndarray, kind=kind) -> np.ndarray:
-            dens, mean = _densities(model, x)
+            key = x.tobytes()
+            if key not in memo:
+                memo[key] = _densities(model, x)
+            dens, mean = memo[key]
             return pointwise_contributions(dens, mean, kind).sum(axis=0)
 
         try:

@@ -23,7 +23,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fvariety import BUILTIN_KINDS, BetaParams, PopulationModel, continuous_f_variety
+from fvariety import (
+    BUILTIN_KINDS,
+    BetaParams,
+    PopulationModel,
+    continuous_f_variety,
+    get_preset,
+    synthesis,
+)
 from fvariety.cli import main as cli_main
 from fvariety.errors import QuadratureFailure
 from fvariety.quadrature import adaptive_quadrature, find_sign_changes
@@ -288,6 +295,26 @@ def test_shared_kinks_match_one_kind_calls():
     kinds = [BUILTIN_KINDS[name] for name in KINDS]
     values = _continuous_varieties(model, kinds, 1e-8)
     assert values == [continuous_f_variety(model, kind, 1e-8) for kind in kinds]
+
+
+def test_each_node_array_is_evaluated_once_per_call(monkeypatch):
+    model = get_preset("non-uniform-2").with_ratio(0.3)
+    kinds = [BUILTIN_KINDS[name] for name in ("tvd", "kl", "pearson", "hellinger")]
+    seen = []
+    densities = synthesis._densities
+
+    def recording(model, x):
+        seen.append(x.tobytes())
+        return densities(model, x)
+
+    monkeypatch.setattr(synthesis, "_densities", recording)
+    together = _continuous_varieties(model, kinds)
+    shared_calls = len(seen)
+    assert len(set(seen)) == shared_calls
+    seen.clear()
+    separate = [_continuous_varieties(model, [kind])[0] for kind in kinds]
+    assert shared_calls < len(seen)
+    assert together == separate
 
 
 # shapes below 1 are left out: some of those models still fail on a

@@ -47,6 +47,12 @@ class TestEmpiricalJoint:
             sample_set([(2, 0)])
         with pytest.raises(BadShape):
             sample_set([(0, 11)])
+        # a non-integer shape used to build and fail later in count_table
+        for n_choices, n_bins in ((2.5, 11), (2, 11.0), (2, True), (np.float64(2), 11)):
+            with pytest.raises(BadShape):
+                sample_set([(0, 0)], n_choices=n_choices, n_bins=n_bins)
+        samples = sample_set([(1, 3)], n_choices=np.int64(2), n_bins=np.int32(11))
+        assert samples.count_table().shape == (2, 11)
 
     def test_permutation_invariant(self, rng):
         pairs = [(int(rng.integers(2)), int(rng.integers(11))) for _ in range(50)]

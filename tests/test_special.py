@@ -6,7 +6,7 @@ from scipy import special as scipy_special
 
 from fvariety.errors import DomainError, QuadratureFailure
 from fvariety.quadrature import adaptive_quadrature, find_sign_changes
-from fvariety.special import beta_pdf, log_beta, regularized_incomplete_beta
+from fvariety.special import _beta_pdf_rows, beta_pdf, log_beta, regularized_incomplete_beta
 
 
 def binomial_sum_cdf(a: int, b: int, x: float) -> float:
@@ -76,6 +76,23 @@ class TestRegularizedIncompleteBeta:
             regularized_incomplete_beta(1.0, 1.0, -0.1)
 
 
+def reference_beta_pdf(x, a, b):
+    """The one-shape density with masks for the interior and each endpoint."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    interior = (x > 0.0) & (x < 1.0)
+    if np.any(interior):
+        xi = x[interior]
+        out[interior] = np.exp(
+            (a - 1.0) * np.log(xi) + (b - 1.0) * np.log1p(-xi) - log_beta(a, b)
+        )
+    if np.any(x == 0.0):
+        out[x == 0.0] = math.exp(-log_beta(a, b)) if a == 1.0 else (0.0 if a > 1.0 else math.inf)
+    if np.any(x == 1.0):
+        out[x == 1.0] = math.exp(-log_beta(a, b)) if b == 1.0 else (0.0 if b > 1.0 else math.inf)
+    return out
+
+
 class TestBetaPdf:
     def test_matches_scipy(self, rng):
         xs = rng.uniform(0.001, 0.999, size=200)
@@ -94,6 +111,28 @@ class TestBetaPdf:
         assert beta_pdf(np.array([0.0]), 1, 1)[0] == 1.0
         assert beta_pdf(np.array([1.0]), 3, 1)[0] == pytest.approx(3.0, abs=1e-12)
         assert math.isinf(beta_pdf(np.array([0.0]), 0.5, 1)[0])
+        # NaN is not swallowed; points outside the support have density 0
+        assert math.isnan(beta_pdf(np.array([np.nan]), 2, 3)[0])
+        np.testing.assert_allclose(
+            beta_pdf(np.array([-0.5, np.nan, 0.5, 1.5]), 2, 3),
+            [0.0, np.nan, 1.5, 0.0],
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "with_endpoints", [False, True], ids=["interior", "endpoints"]
+    )
+    def test_rows_match_per_shape_reference(self, rng, with_endpoints):
+        x = np.sort(rng.uniform(0.0, 1.0, size=300))
+        if with_endpoints:
+            x = np.concatenate(([0.0], x[:150], [1.0], x[150:], [0.0, 1.0]))
+        values = (0.5, 1.0, 2.5, 300.0)
+        shapes = [(a, b) for a in values for b in values]
+        rows = _beta_pdf_rows(x, shapes)
+        assert rows.shape == (len(shapes), len(x))
+        for row, (a, b) in zip(rows, shapes):
+            np.testing.assert_array_equal(row, reference_beta_pdf(x, a, b))
+            np.testing.assert_array_equal(beta_pdf(x, a, b), row)
 
     def test_log_beta(self):
         assert log_beta(2, 3) == pytest.approx(math.log(1 / 12), abs=1e-14)

@@ -55,6 +55,31 @@ class TestModelValidation:
                 nonexpert_ratio=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "n_choices", [2.0, np.float64(2.0), "2"], ids=["float", "numpy-float", "str"]
+    )
+    def test_non_integer_choice_count_rejected(self, n_choices):
+        # 2.0 used to build and fail later inside continuous_f_variety
+        with pytest.raises(BadShape):
+            PopulationModel(
+                n_choices=n_choices,
+                expert_choice_weights=(0.5, 0.5),
+                expert_prediction=(BetaParams(2, 2), BetaParams(3, 2)),
+                nonexpert_prediction=BetaParams(2, 2),
+                nonexpert_ratio=0.0,
+            )
+
+    def test_numpy_integer_choice_count_accepted(self):
+        model = PopulationModel(
+            n_choices=np.int64(2),
+            expert_choice_weights=(0.5, 0.5),
+            expert_prediction=(BetaParams(2, 2), BetaParams(3, 2)),
+            nonexpert_prediction=BetaParams(2, 2),
+            nonexpert_ratio=0.0,
+        )
+        assert type(model.n_choices) is int
+        assert continuous_f_variety(model, TVD) > 0.0
+
     def test_ratio_bounds(self):
         with pytest.raises(DomainError):
             get_preset("uniform-1").with_ratio(1.5)
