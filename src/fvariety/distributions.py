@@ -12,6 +12,7 @@ All values are immutable; operations return new objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
@@ -32,6 +33,16 @@ NORMALIZATION_SLACK = 1e-9
 _UNINFORMATIVE_TOL = 1e-9
 
 
+def _shape_count(name: str, value: Any) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises BadShape."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadShape(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability table over (choice, prediction-bin) pairs.
@@ -46,16 +57,18 @@ class JointDistribution:
     mass: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        n_choices = _shape_count("n_choices", self.n_choices)
+        n_bins = _shape_count("n_bins", self.n_bins)
         mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.ndim != 2 or mass.shape != (self.n_choices, self.n_bins):
+        if mass.ndim != 2 or mass.shape != (n_choices, n_bins):
             raise BadShape(
                 f"mass table has shape {mass.shape}, "
-                f"declared ({self.n_choices}, {self.n_bins})"
+                f"declared ({n_choices}, {n_bins})"
             )
-        if self.n_choices < 2:
-            raise BadShape(f"need at least 2 choices, got {self.n_choices}")
-        if self.n_bins < 1:
-            raise BadShape(f"need at least 1 prediction bin, got {self.n_bins}")
+        if n_choices < 2:
+            raise BadShape(f"need at least 2 choices, got {n_choices}")
+        if n_bins < 1:
+            raise BadShape(f"need at least 1 prediction bin, got {n_bins}")
         if np.any(mass < 0.0):
             worst = float(mass.min())
             raise NegativeMass(f"mass table has negative entry {worst}")
@@ -64,6 +77,8 @@ class JointDistribution:
             raise NotNormalized(f"mass table sums to {total!r}, expected 1")
         mass = mass / total
         mass.flags.writeable = False
+        object.__setattr__(self, "n_choices", n_choices)
+        object.__setattr__(self, "n_bins", n_bins)
         object.__setattr__(self, "mass", mass)
 
     @classmethod

@@ -14,13 +14,12 @@ that only the sweep and the group comparison draw.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, _shape_count
 from .divergence import DivergenceKind, _variety_stack, f_variety
 from .errors import BadShape, EmptySampleSet, ShapeMismatch
 from .sampling import RandomStream
@@ -47,16 +46,6 @@ def _index_column(name: str, column: Any) -> np.ndarray:
     if len(values) and not np.issubdtype(values.dtype, np.integer):
         raise BadShape(f"{name} must be integers, got dtype {values.dtype}")
     return values.astype(np.intp)
-
-
-def _shape_count(name: str, value: Any) -> int:
-    """``value`` as a Python int; a bool or a non-integer raises BadShape."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise BadShape(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

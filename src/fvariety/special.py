@@ -98,9 +98,10 @@ def _beta_pdf_rows(x: np.ndarray, shapes: Sequence[tuple[float, float]]) -> np.n
     endpoints get their limit values, points outside [0, 1] get 0, and a
     NaN abscissa gives NaN.
     """
-    a = np.array([float(s[0]) for s in shapes])[:, None]
-    b = np.array([float(s[1]) for s in shapes])[:, None]
-    log_norm = np.array([log_beta(*s) for s in shapes])[:, None]
+    ab = np.array(shapes, dtype=np.float64)
+    a, b = ab[:, :1], ab[:, 1:]
+    log_norms = [log_beta(*s) for s in shapes]
+    log_norm = np.array(log_norms)[:, None]
     if x.size and x.min() > 0.0 and x.max() < 1.0:  # NaN fails both
         return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_norm)
     out = np.zeros((len(shapes), len(x)))
@@ -112,9 +113,9 @@ def _beta_pdf_rows(x: np.ndarray, shapes: Sequence[tuple[float, float]]) -> np.n
     out[:, np.isnan(x)] = math.nan
     at_zero, at_one = x == 0.0, x == 1.0
     # density at the closed endpoints: finite only when the exponent is 0
-    for row, (a_, b_) in zip(out, shapes):
-        row[at_zero] = math.exp(-log_beta(a_, b_)) if a_ == 1.0 else (0.0 if a_ > 1.0 else math.inf)
-        row[at_one] = math.exp(-log_beta(a_, b_)) if b_ == 1.0 else (0.0 if b_ > 1.0 else math.inf)
+    for row, (a_, b_), ln in zip(out, shapes, log_norms):
+        row[at_zero] = math.exp(-ln) if a_ == 1.0 else (0.0 if a_ > 1.0 else math.inf)
+        row[at_one] = math.exp(-ln) if b_ == 1.0 else (0.0 if b_ > 1.0 else math.inf)
     return out
 
 

@@ -11,6 +11,9 @@ The module provides three views of the same model:
 * ``exact_discretized_joint`` - the infinite-sample limit of those histograms
 * ``continuous_f_variety``    - the un-binned metric, by adaptive quadrature
 
+One ``_continuous_varieties`` call evaluates each quadrature panel's
+densities once, through a memo local to the call, for all the kinds.
+
 ``_continuous_varieties`` stays private although the CLI and the sweep
 call it: it is the many-kinds form of ``continuous_f_variety``, which is
 the one public entry point.
@@ -24,10 +27,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, _shape_count
 from .divergence import DivergenceKind, f_variety, pointwise_contributions
 from .errors import BadShape, BadWeights, DomainError, QuadratureFailure
-from .estimation import N_PREDICTION_BINS, SampleSet, _shape_count
+from .estimation import N_PREDICTION_BINS, SampleSet
 from .quadrature import adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
 from .special import _beta_pdf_rows, regularized_incomplete_beta

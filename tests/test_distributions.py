@@ -59,6 +59,26 @@ class TestMakeJoint:
         with pytest.raises(BadShape):
             make_joint([[1.0]], 1, 1)  # fewer than 2 choices
 
+    @pytest.mark.parametrize(
+        "n_choices, n_bins, mass",
+        [
+            (2.0, 2, [[0.25, 0.25], [0.25, 0.25]]),
+            (2, 2.0, [[0.25, 0.25], [0.25, 0.25]]),
+            (np.float64(2), 2, [[0.25, 0.25], [0.25, 0.25]]),
+            (2, True, [[0.5], [0.5]]),
+        ],
+        ids=["float-choices", "float-bins", "numpy-float", "bool-bins"],
+    )
+    def test_non_integer_shape_rejected(self, n_choices, n_bins, mass):
+        # a float shape used to build and fail later in uninformative_projection
+        with pytest.raises(BadShape):
+            JointDistribution(n_choices, n_bins, mass)
+
+    def test_numpy_integer_shape_stored_as_int(self):
+        dist = JointDistribution(np.int64(2), np.int32(2), np.full((2, 2), 0.25))
+        assert type(dist.n_choices) is int and type(dist.n_bins) is int
+        assert uninformative_projection(dist).n_bins == 2
+
     def test_small_drift_renormalized_exactly(self):
         drift = 1.0 + 5e-10
         dist = make_joint(np.full((2, 2), drift / 4), 2, 2)
