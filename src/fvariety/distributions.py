@@ -92,8 +92,6 @@ class JointDistribution:
             raise BadShape(f"joint JSON object missing field: {exc}") from exc
         except (ValueError, OverflowError) as exc:
             raise BadShape(f"joint JSON object has a malformed field: {exc}") from exc
-        if type(n_choices) is not int or type(n_bins) is not int:  # int() would accept 2.9 and true
-            raise BadShape(f"sizes must be JSON integers, got {n_choices!r} and {n_bins!r}")
         return make_joint(mass, n_choices, n_bins)
 
     def to_json_dict(self) -> dict[str, Any]:

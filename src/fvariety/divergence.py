@@ -167,7 +167,9 @@ def _variety_stack(mass: np.ndarray, kind: DivergenceKind) -> np.ndarray:
 
     Repeats the arithmetic of :func:`uninformative_projection` (column
     sums over choices, divided by C, tiled, renormalized by the float
-    total), so each table scores bit-identically to a lone table.
+    total), so each table scores bit-identically to a lone table.  A table
+    whose C rows are all exactly equal is uninformative by definition and
+    scores exactly 0.0, where the renormalization could leave it an ulp off.
     """
     n_choices = mass.shape[-2]
     column = mass.sum(axis=-2, keepdims=True) / n_choices
@@ -175,7 +177,7 @@ def _variety_stack(mass: np.ndarray, kind: DivergenceKind) -> np.ndarray:
     projected = projected / projected.sum(axis=(-2, -1), keepdims=True)
     values = pointwise_contributions(mass, projected, kind).sum(axis=(-2, -1))
     assert np.all(np.isfinite(values)), "projection pairing must give finite values"
-    return values
+    return np.where(np.all(mass == mass[..., :1, :], axis=(-2, -1)), 0.0, values)
 
 
 def f_variety(dist: JointDistribution, kind: DivergenceKind) -> float:

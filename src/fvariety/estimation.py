@@ -24,8 +24,9 @@ from .divergence import DivergenceKind, _variety_stack, f_variety
 from .errors import BadShape, EmptySampleSet, ShapeMismatch
 from .sampling import RandomStream
 
-# Prediction options 0%, 10%, ..., 100%.
+# Prediction options 0%, 10%, ..., 100%, and the percent between two of them.
 N_PREDICTION_BINS = 11
+_PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
 
 # Relative spread below which trial values are one value up to round-off.
 _ROUND_OFF = 1e-12

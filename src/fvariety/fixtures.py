@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .estimation import N_PREDICTION_BINS, SampleSet
+from .estimation import _PCT_STEP, SampleSet
 from .sampling import RandomStream
 from .synthesis import draw_samples, get_preset
 
@@ -45,7 +45,6 @@ def generate_two_group_survey(
 ) -> SurveyFixture:
     """Write responses.csv and respondents.csv under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    pct_step = 100 // (N_PREDICTION_BINS - 1)
     model = get_preset(preset)
     root = RandomStream(seed)
     question_ids = tuple(f"Q{i + 1}" for i in range(n_questions))
@@ -69,7 +68,7 @@ def generate_two_group_survey(
             ids = [f"{prefix}{i + 1:04d}" for i in range(n_per_group)]
             samples[(qid, value)] = drawn
             for rid, choice, b in zip(ids, drawn.choices.tolist(), drawn.bins.tolist()):
-                response_rows.append((rid, qid, CHOICE_LABELS[choice], b * pct_step))
+                response_rows.append((rid, qid, CHOICE_LABELS[choice], b * _PCT_STEP))
 
     responses_path = os.path.join(out_dir, "responses.csv")
     respondents_path = os.path.join(out_dir, "respondents.csv")

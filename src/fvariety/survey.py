@@ -14,7 +14,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .estimation import (
     N_PREDICTION_BINS,
+    _PCT_STEP,
     GroupComparison,
     SampleSet,
     compare_groups_equalized,
@@ -36,9 +37,6 @@ from .estimation import (
 from .sampling import RandomStream
 
 RESPONSES_HEADER = ("respondent_id", "question_id", "choice", "prediction_pct")
-
-# Percent between adjacent prediction options.
-_PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
 
 # Bin codes of prediction_pct texts that are not an integer or off the grid.
 _NOT_AN_INTEGER = -1
@@ -81,34 +79,38 @@ class SurveyDataset:
         return set(self.attributes)
 
 
-def _read_table(path: str) -> tuple[list[str], list[str], list[int], list[int]]:
-    """A CSV file as flat columns: header, data fields, row widths, row lines.
+def _read_table(path: str) -> tuple[list[str], list[str], np.ndarray]:
+    """A CSV file as flat columns: header, data fields, ragged-row mask.
 
     The data fields of all rows follow one another in file order, stripped;
-    ``lines[i]`` is the file line on which data row ``i`` ends.  Blank rows
-    are skipped.  The whole file is decoded and tokenized before any row is
+    each row is cut or padded with ``""`` to the header's width, and
+    ``ragged[i]`` marks a data row ``i`` of another width.  Blank rows are
+    skipped.  The whole file is decoded and tokenized before any row is
     validated, so a decode or CSV error anywhere in it is reported first.
     """
     fields: list[str] = []
-    widths: list[int] = []
-    lines: list[int] = []
+    ragged: list[int] = []
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
+            header = next(filter(None, reader), [])
+            width = len(header)
             for row in reader:
-                if row:
+                if len(row) == width:
                     fields += row
-                    widths.append(len(row))
-                    lines.append(reader.line_num)
+                elif row:
+                    ragged.append(len(fields) // width)
+                    fields += (row + [""] * width)[:width]
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise _decode_error(path) from None
-    if not widths:
+    if not header:
         raise ParseError(f"{path}: file is empty")
-    fields = list(map(str.strip, fields))
-    return fields[: widths[0]], fields[widths[0]:], widths[1:], lines[1:]
+    mask = np.zeros(len(fields) // width, dtype=bool)
+    mask[ragged] = True
+    return [name.strip() for name in header], list(map(str.strip, fields)), mask
 
 
 def _decode_error(path: str) -> ParseError:
@@ -122,30 +124,25 @@ def _decode_error(path: str) -> ParseError:
     return ParseError(f"{path}: not valid UTF-8")
 
 
-def _regular_rows(
-    path: str, widths: list[int], lines: list[int], width: int
-) -> tuple[int, ParseError | None]:
-    """Count of leading rows with ``width`` fields, and the first other row's error.
+def _find_row(path: str, row: int) -> tuple[str, list[str]]:
+    """``path:line`` of data row ``row`` and its raw fields, read from the file again.
 
-    A row of the wrong width has no columns to check, so the rows before it
-    are checked on their own, and its error stands if they all pass.
+    The line is the one the row ends on.  Only error messages need it, so
+    the loaders keep no line per row and look up the faulting row alone.
     """
-    ragged = np.flatnonzero(np.array(widths, dtype=np.intp) != width)
-    if not len(ragged):
-        return len(widths), None
-    row = int(ragged[0])
-    return row, ParseError(
-        f"{path}:{lines[row]}: expected {width} fields, got {widths[row]}"
-    )
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        fields = next(islice(filter(None, reader), row + 1, None))  # after the header
+        return f"{path}:{reader.line_num}", fields
 
 
 def _first_fault(checks: Sequence[np.ndarray]) -> tuple[int, int] | None:
     """(row, check) of the first failed check, or None when all pass.
 
-    Each check is a boolean mask of failing rows.  Rows are taken in file
-    order and, within a row, checks in the order given.  A mask needs to be
-    exact only up to the first failing row, since the rows before it are
-    valid.
+    Each check is a boolean mask of failing rows, the field count first.
+    Rows are taken in file order and, within a row, checks in the order
+    given.  A mask needs to be exact only up to the first failing row,
+    since the rows before it are valid.
     """
     failed = np.stack(checks, axis=1).ravel()  # row-major: row by row
     if not failed.any():
@@ -153,18 +150,18 @@ def _first_fault(checks: Sequence[np.ndarray]) -> tuple[int, int] | None:
     return divmod(int(np.argmax(failed)), len(checks))
 
 
-def _check_filled(path: str, lines: list[int], columns: dict[str, list[str]]) -> None:
+def _check_filled(path: str, columns: dict[str, list[str]]) -> None:
     """Reject the first row that leaves one of ``columns`` empty."""
     first_empty = {name: col.index("") for name, col in columns.items() if "" in col}
     if first_empty:
         name = min(first_empty, key=first_empty.__getitem__)  # ties: first column
-        raise ValidationError(f"{path}:{lines[first_empty[name]]}: empty {name}")
+        raise ValidationError(f"{_find_row(path, first_empty[name])[0]}: empty {name}")
 
 
 def _load_respondents(path: str) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """Respondent index by id in file order, and one attribute array per column."""
-    header, fields, widths, lines = _read_table(path)
-    if not header or header[0] != "respondent_id":
+    header, fields, ragged = _read_table(path)
+    if header[0] != "respondent_id":
         raise ParseError(f"{path}: first column must be respondent_id, got {header!r}")
     counts = Counter(header)
     repeated = [name for name, count in counts.items() if count > 1]
@@ -174,19 +171,20 @@ def _load_respondents(path: str) -> tuple[dict[str, int], dict[str, np.ndarray]]
             "in the header"
         )
     width = len(header)
-    n, ragged = _regular_rows(path, widths, lines, width)
-    ids = fields[: n * width : width]
+    ids = fields[::width]
+    n = len(ids)
     index = {rid: i for i, rid in enumerate(dict.fromkeys(ids))}
     # ids are numbered in first-appearance order, so while rows are unique
     # each row's number is its own index; the first repeat breaks that
-    repeats = np.flatnonzero(np.fromiter(map(index.__getitem__, ids), np.intp, n)
-                             != np.arange(n))
-    if len(repeats):
-        row = repeats[0]
-        raise ValidationError(f"{path}:{lines[row]}: duplicate respondent id {ids[row]!r}")
-    if ragged is not None:
-        raise ragged
-    _check_filled(path, lines, {"respondent_id": ids})
+    repeats = np.fromiter(map(index.__getitem__, ids), np.intp, n) != np.arange(n)
+    fault = _first_fault((ragged, repeats))
+    if fault is not None:
+        row, check = fault
+        where, raw = _find_row(path, row)
+        if check == 0:
+            raise ParseError(f"{where}: expected {width} fields, got {len(raw)}")
+        raise ValidationError(f"{where}: duplicate respondent id {ids[row]!r}")
+    _check_filled(path, {"respondent_id": ids})
     table = np.array(fields, dtype=object).reshape(n, width)
     table.flags.writeable = False
     return index, {name: table[:, i] for i, name in enumerate(header[1:], start=1)}
@@ -196,14 +194,13 @@ def _load_responses(
     path: str, respondents: dict[str, int]
 ) -> tuple[tuple[SurveyQuestion, ...], np.ndarray]:
     """Questions in first-appearance order and the ``(rows, 4)`` response codes."""
-    header, fields, widths, lines = _read_table(path)
+    header, fields, ragged = _read_table(path)
     if tuple(header) != RESPONSES_HEADER:
         raise ParseError(
             f"{path}: header must be {','.join(RESPONSES_HEADER)}, got {','.join(header)}"
         )
-    width = len(RESPONSES_HEADER)
-    n, ragged = _regular_rows(path, widths, lines, width)
-    rids, qids, labels, pct_texts = (fields[i : n * width : width] for i in range(width))
+    rids, qids, labels, pct_texts = (fields[i::len(header)] for i in range(len(header)))
+    n = len(rids)
 
     # int() runs once per distinct text, so the accepted syntax (sign,
     # leading zeros, underscores, non-ASCII digits) is Python's, not numpy's
@@ -226,28 +223,28 @@ def _load_responses(
     repeated_pair[np.unique(pairs, return_index=True)[1]] = False
 
     fault = _first_fault(
-        (bins == _NOT_AN_INTEGER, bins == _OFF_GRID, people < 0, repeated_pair)
+        (ragged, bins == _NOT_AN_INTEGER, bins == _OFF_GRID, people < 0, repeated_pair)
     )
     if fault is not None:
         row, check = fault
-        where = f"{path}:{lines[row]}"
+        where, raw = _find_row(path, row)
         if check == 0:
+            raise ParseError(f"{where}: expected {len(header)} fields, got {len(raw)}")
+        if check == 1:
             raise ParseError(
                 f"{where}: prediction_pct {pct_texts[row]!r} is not an integer"
             )
-        if check == 1:
+        if check == 2:
             raise ValidationError(
                 f"{where}: prediction_pct must be one of 0,{_PCT_STEP},...,100, "
                 f"got {int(pct_texts[row])}"
             )
-        if check == 2:
+        if check == 3:
             raise ValidationError(f"{where}: unknown respondent {rids[row]!r}")
         raise ValidationError(
             f"{where}: duplicate answer by {rids[row]!r} to {qids[row]!r}"
         )
-    if ragged is not None:
-        raise ragged
-    _check_filled(path, lines, {"question_id": qids, "choice": labels})
+    _check_filled(path, {"question_id": qids, "choice": labels})
 
     # Rank every label once.  The distinct (question, label rank) keys then
     # sort by question, then label: each question's options are one run of

@@ -114,8 +114,6 @@ class PopulationModel:
             raise BadShape(
                 f"model JSON object has a missing or malformed field: {exc!r}"
             ) from None
-        if type(n_choices) is not int:  # int() would accept 2.7 and true
-            raise BadShape(f"n_choices must be a JSON integer, got {n_choices!r}")
         experts = tuple(BetaParams(a, b) for a, b in shapes)
         return cls(n_choices, weights, experts, BetaParams(*noise), ratio)
 

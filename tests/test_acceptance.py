@@ -145,8 +145,8 @@ def test_criterion_4_property_suite():
             value = f_variety(dist, kind)
             if value < -1e-12:
                 failures.append(f"negative variety {value} ({kind.name})")
-            if f_variety(projected, kind) > 1e-12:
-                failures.append(f"projection variety > 1e-12 ({kind.name})")
+            if f_variety(projected, kind) != 0.0:
+                failures.append(f"projection variety is not exactly 0 ({kind.name})")
 
         # monotonicity and tvd linearity on a per-instance random alpha,
         # plus the full alpha grid on a subsample to bound the runtime

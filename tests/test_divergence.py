@@ -11,6 +11,7 @@ from fvariety import (
     PEARSON,
     TVD,
     DivergenceKind,
+    JointDistribution,
     baseline,
     f_divergence,
     f_variety,
@@ -21,6 +22,7 @@ from fvariety import (
     uninformative_projection,
 )
 from fvariety.divergence import pointwise_contributions
+from fvariety.estimation import _count_varieties
 from fvariety.errors import (
     InvalidGenerator,
     LengthMismatch,
@@ -166,6 +168,17 @@ class TestFVariety:
     def test_uninformative_is_zero(self):
         dist = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
         assert f_variety(dist, TVD) == 0.0
+
+    def test_equal_rows_score_exactly_zero(self):
+        # renormalizing a uniform 2 x 11 or 7 x 3 table leaves its total an
+        # ulp off 1, which used to read TVD ~1e-16 and KL ~-2e-16
+        counts = np.array([[[3, 1], [3, 1]], [[1, 2], [1, 2]], [[3, 1], [1, 3]]])
+        for kind in ALL_KINDS:
+            for shape in [(2, 11), (7, 3)]:
+                dist = JointDistribution(*shape, np.full(shape, 1 / math.prod(shape)))
+                assert f_variety(dist, kind) == 0.0
+            values = _count_varieties(counts, kind)
+            assert values[:2].tolist() == [0.0, 0.0] and values[2] > 0.0
 
     def test_diagonal_values_for_all_builtins(self):
         dist = make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)

@@ -143,6 +143,29 @@ class TestLoadSurvey:
         with pytest.raises(ValidationError, match=r"responses\.csv:2: empty choice"):
             load_survey(*paths)
 
+    @pytest.mark.parametrize("file, fault, want", [
+        ("responses", "r1,Q2,,40", "5: empty choice"),
+        ("respondents", ",rarely", "5: empty respondent_id"),
+        ("responses", "r1,Q2,cat", "5: expected 4 fields, got 3"),
+        ("responses", 'r1,"Q\n2",cat', "6: expected 4 fields, got 3"),
+        ("respondents", "r2,rarely,x", "5: expected 2 fields, got 3"),
+    ], ids=["empty-choice", "empty-id", "ragged", "ragged-two-line", "ragged-respondent"])
+    def test_fault_lines_count_blank_lines_and_quoted_newlines(
+        self, tmp_path, file, fault, want
+    ):
+        # line 2 opens a quoted two-line field and line 4 is blank, so the
+        # faulting row starts on line 5 and ends on the line it closes on
+        rows = {"responses": ["r1,Q1,cat,50"], "respondents": ["r1,often"]}
+        rows[file] = [
+            'r1,Q1,"a\nb",50' if file == "responses" else 'r1,"often\nreally"',
+            "",
+            fault,
+        ]
+        paths = dict(zip(rows, write_survey(tmp_path, *rows.values())))
+        with pytest.raises((ParseError, ValidationError)) as info:
+            load_survey(paths["responses"], paths["respondents"])
+        assert str(info.value) == f"{paths[file]}:{want}"
+
     def test_decode_error_wins_over_an_earlier_validation_error(self, tmp_path):
         # the whole file is decoded before any row is validated, so the
         # non-UTF-8 byte on line 6 is reported, not the ghost on line 3
