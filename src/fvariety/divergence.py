@@ -115,18 +115,23 @@ def pointwise_contributions(
 
     Accepts any non-negative weight arrays (densities included), so the
     continuous-model integrands reuse the exact same conventions as the
-    discrete sums.
+    discrete sums.  When every cell has both masses (every quadrature
+    panel does) the terms are computed without masks, from the same
+    elementwise operations, so the bits are the same either way.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
-    p, q = np.broadcast_arrays(p, q)
-
     negligible = q * 1e-300  # p at or below it takes the p -> 0 limit
-    both = (p > negligible) & (q > 0.0)
+    q_positive = q > 0.0
+    both = (p > negligible) & q_positive
+    if both.all():
+        return p * np.asarray(kind.generator(q / p))
+
+    out = np.zeros(both.shape)
+    p, q = np.broadcast_arrays(p, q)
     if np.any(both):
         out[both] = p[both] * np.asarray(kind.generator(q[both] / p[both]))
-    q_only = (p <= negligible) & (q > 0.0)
+    q_only = (p <= negligible) & q_positive
     if np.any(q_only):
         out[q_only] = q[q_only] * kind.tail
     p_only = (p > 0.0) & (q == 0.0)
@@ -142,7 +147,7 @@ def _validate_probability(vec: np.ndarray, label: str) -> np.ndarray:
     if np.any(vec < 0.0):
         raise NotAProbability(f"{label} has a negative entry: {float(vec.min())}")
     total = float(vec.sum())
-    if abs(total - 1.0) > _PROBABILITY_SLACK:
+    if not abs(total - 1.0) <= _PROBABILITY_SLACK:  # NaN fails too
         raise NotAProbability(f"{label} sums to {total!r}, expected 1")
     return vec
 

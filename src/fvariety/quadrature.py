@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure
 
 MAX_INTERVALS = 10_000
+# steps a kink bracket may take beyond what bisection would need
+_SPARE_STEPS = 2
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK constants).
 _KRONROD_NODES = np.array([
@@ -140,6 +142,20 @@ def adaptive_quadrature(
     return total
 
 
+def _chandrupatla_t(x1, x2, x3, f1, f2, f3):
+    """Where the next point goes on [x1, x2], as a fraction t of the way
+    from x1: inverse quadratic interpolation through the three points where
+    Chandrupatla's test finds it safe, 0.5 (the midpoint) elsewhere."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        alpha = (x3 - x1) / (x2 - x1)
+        t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+        safe = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)) & np.isfinite(t)
+    return np.where(safe, t, 0.5)
+
+
 def find_sign_changes(
     func: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -147,17 +163,32 @@ def find_sign_changes(
     scan_points: int = 512,
     tol: float = 1e-13,
 ) -> list[float]:
-    """Roots of ``func`` in (lo, hi), located by grid scan plus bisection.
+    """Roots of ``func`` in (lo, hi), located by grid scan plus Chandrupatla
+    steps.
 
     ``func`` returns one row of values per curve; a 1-D result is one curve.
     Only sign changes on the scan grid are found; that is enough to break
     integrands at density crossings, where missing a doubly-crossing sliver
     costs accuracy the adaptive refinement recovers anyway.  A NaN scan
     value (say inf - inf where a density is infinite at an endpoint)
-    carries no sign, so its cells are skipped.  All brackets are bisected
-    together, one ``func`` call per step on the midpoints still wider than
-    ``tol``, each bracket reading its own row; roots come back row by row.
+    carries no sign, so its cells are skipped.
+
+    Each bracket shrinks until it is at most ``tol`` wide or a point lands
+    on an exact zero, and its root is the midpoint of the final bracket.
+    The points are Chandrupatla's (1997): inverse quadratic interpolation
+    where that is safe, the midpoint otherwise, never closer than
+    ``tol / 2`` to either end of the bracket.  Each bracket also gets a
+    budget of ``_SPARE_STEPS`` steps more than bisection would take, and
+    every point is kept close enough to the midpoint that the budget is
+    met (the projection of the ITP method, Oliveira and Takahashi 2020): a
+    multiple root, where interpolation creeps, costs at most that many
+    steps more than bisection, and one more where rounding widens the
+    midpoints.  All brackets step together, one ``func`` call per step on
+    the brackets still open, each reading its own row; roots come back
+    row by row.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     xs = np.linspace(lo, hi, scan_points + 1)
     with np.errstate(invalid="ignore"):
         ys = np.atleast_2d(np.asarray(func(xs), dtype=np.float64))
@@ -166,23 +197,43 @@ def find_sign_changes(
         bracketed = (y0 != 0.0) & (y0 * y1 < 0.0)
 
     rows, cells = np.nonzero(bracketed)
-    a, b, fa = xs[cells], xs[cells + 1], y0[rows, cells]
-    active = np.flatnonzero(b - a > tol)
+    # x1 is the newest point, [x1, x2] (either order) the bracket and x3 the
+    # point last dropped from it; t places the next point on [x1, x2]
+    x1, f1 = xs[cells], y0[rows, cells]
+    x2, f2 = xs[cells + 1], y1[rows, cells]
+    x3, f3 = x2.copy(), f2.copy()
+    t = np.full(len(rows), 0.5)
+    width = np.abs(x2 - x1)
+    steps_left = np.ceil(np.log2(width / tol)) + _SPARE_STEPS
+    active = np.flatnonzero(width > tol)
     while len(active):
-        m = 0.5 * (a[active] + b[active])
-        fm = np.atleast_2d(np.asarray(func(m), dtype=np.float64))
-        fm = fm[rows[active], np.arange(len(active))]
-        hit = fm == 0.0
-        with np.errstate(invalid="ignore"):  # an infinite fa times a hit's 0
-            left = ~hit & (fa[active] * fm < 0.0)
-        right = ~hit & ~left
-        a[active[hit]] = b[active[hit]] = m[hit]
-        b[active[left]] = m[left]
-        a[active[right]] = m[right]
-        fa[active[right]] = fm[right]
-        still = ~hit & (b[active] - a[active] > tol)
-        active = active[still]
+        xt = x1[active] + t[active] * (x2[active] - x1[active])
+        ft = np.atleast_2d(np.asarray(func(xt), dtype=np.float64))
+        ft = ft[rows[active], np.arange(len(active))]
+        # a point on x1's side replaces x1; otherwise x1 becomes the far
+        # end.  Signs are compared, not multiplied: the product of two tiny
+        # values underflows to 0
+        same = (ft < 0.0) == (f1[active] < 0.0)
+        keep, flip = active[same], active[~same]
+        x3[keep], f3[keep] = x1[keep], f1[keep]
+        x3[flip], f3[flip] = x2[flip], f2[flip]
+        x2[flip], f2[flip] = x1[flip], f1[flip]
+        x1[active], f1[active] = xt, ft
+        hit = ft == 0.0
+        x2[active[hit]] = xt[hit]
+        width[active] = np.abs(x2[active] - x1[active])
+        steps_left[active] -= 1
+        active = active[~hit & (width[active] > tol)]
+
+        w = width[active]
+        step = _chandrupatla_t(x1[active], x2[active], x3[active],
+                               f1[active], f2[active], f3[active])
+        margin = 0.5 * tol / w
+        # within reach of the midpoint, the next bracket is at most
+        # tol * 2**(steps_left - 1) wide
+        reach = np.maximum(0.5 * (tol * 2.0 ** steps_left[active] - w), 0.0) / w
+        t[active] = np.clip(np.clip(step, margin, 1.0 - margin), 0.5 - reach, 0.5 + reach)
 
     roots = np.broadcast_to(xs[:-1], y0.shape).copy()
-    roots[rows, cells] = 0.5 * (a + b)
+    roots[rows, cells] = 0.5 * (x1 + x2)
     return roots[on_grid | bracketed].tolist()

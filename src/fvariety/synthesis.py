@@ -35,6 +35,9 @@ from .quadrature import adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
 from .special import _beta_pdf_rows, regularized_incomplete_beta
 
+# Kinks are located to this width; crossings closer than it are one kink.
+_KINK_TOL = 1e-13
+
 # Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
 _GRID_STEPS = N_PREDICTION_BINS - 1
 BIN_EDGES = np.concatenate(
@@ -244,7 +247,13 @@ def _continuous_varieties(
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if _is_uninformative(model):
         return [0.0] * len(kinds)
-    kinks = find_sign_changes(lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0)
+    roots = np.sort(find_sign_changes(
+        lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0, tol=_KINK_TOL
+    ))
+    # choices that cross the mean at one point (two choices always do) give
+    # roots up to the scan's tolerance apart; one break point serves them
+    # all, where two would add a sliver panel for every kind
+    kinks = roots[np.diff(roots, prepend=-np.inf) > _KINK_TOL].tolist()
     memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     totals = []
     for kind in kinds:
@@ -270,8 +279,10 @@ def continuous_f_variety(
 
     Integrates the choice-summed divergence contribution between each
     choice's joint density and the uninformative mixture density.  The
-    |.|-type generators kink where those densities cross, so crossings
-    are bisected first and passed to the integrator as break points.
+    |.|-type generators kink where those densities cross, so the
+    crossings are located first, each to within 1e-13 by Chandrupatla
+    steps (:func:`~fvariety.quadrature.find_sign_changes`), and passed to
+    the integrator as break points.
     An uninformative model (all non-experts, or experts with uniform
     choice weights and one shared Beta) scores exactly 0 without
     quadrature.

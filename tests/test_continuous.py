@@ -1,6 +1,10 @@
-"""The continuous-model layer: vectorized kink bisection, kinks shared
-across kinds, exact zeros on uninformative models, and accuracy against
-an independent QUADPACK oracle.
+"""The continuous-model layer: the vectorized kink scan with Chandrupatla
+steps, kinks shared across kinds, exact zeros on uninformative models, and
+accuracy against an independent QUADPACK oracle.
+
+The scan keeps the contract of a scalar scan-and-bisect loop: the same
+brackets in the same order, each closed to at most ``tol`` wide (or onto an
+exact zero) with its midpoint as the root, in far fewer ``func`` calls.
 
 ``tests/golden/theoretical_tvd_kl_pearson_hellinger.json`` holds
 ``variety theoretical`` stdout; every ``continuous`` value in it must lie
@@ -25,6 +29,7 @@ from scipy.optimize import brentq
 
 from fvariety import (
     BUILTIN_KINDS,
+    PRESETS,
     BetaParams,
     PopulationModel,
     continuous_f_variety,
@@ -42,7 +47,9 @@ KINDS = sorted(BUILTIN_KINDS)
 
 
 def reference_find_sign_changes(func, lo, hi, scan_points=512, tol=1e-13):
-    """Grid scan plus one-point-per-call bisection, bracket by bracket."""
+    """Grid scan plus one-point-per-call bisection, bracket by bracket, as
+    (cell, root) pairs: the cell index i of the grid point xs[i] it starts
+    at."""
     xs = np.linspace(lo, hi, scan_points + 1)
     ys = np.asarray(func(xs), dtype=np.float64)
     roots = []
@@ -50,7 +57,7 @@ def reference_find_sign_changes(func, lo, hi, scan_points=512, tol=1e-13):
         y0, y1 = ys[i], ys[i + 1]
         if y0 == 0.0:
             if lo < xs[i] < hi:
-                roots.append(float(xs[i]))
+                roots.append((i, float(xs[i])))
             continue
         if y0 * y1 < 0.0:
             a, b = float(xs[i]), float(xs[i + 1])
@@ -65,14 +72,15 @@ def reference_find_sign_changes(func, lo, hi, scan_points=512, tol=1e-13):
                     b = m
                 else:
                     a, fa = m, fm
-            roots.append(0.5 * (a + b))
+            roots.append((i, 0.5 * (a + b)))
     return roots
 
 
 @st.composite
 def curves(draw, scan_points):
     """A product of linear factors, some with roots on the scan grid, and
-    optionally NaN or an infinity at an endpoint."""
+    optionally NaN or an infinity at an endpoint.  The factor roots are
+    kept as ``func.roots``."""
     on_grid = draw(st.lists(st.integers(0, scan_points), max_size=3))
     off_grid = draw(st.lists(st.floats(-0.2, 1.2), max_size=5))
     roots = [k / scan_points for k in on_grid] + off_grid
@@ -89,6 +97,7 @@ def curves(draw, scan_points):
             y = np.where(x == 0.0, endpoint, y)
         return y
 
+    func.roots = roots
     return func
 
 
@@ -101,9 +110,31 @@ def scan_cases(draw):
     return funcs, scan_points, tol
 
 
+def changes_sign_near(func, x, tol, lo, hi):
+    """Whether the curve ``func`` changes sign within ``tol`` of ``x``
+    inside [lo, hi].  Its sign is constant between its factor roots, so it
+    is sampled at the window's ends, at ``x`` and on both sides of every
+    factor root in the window; zeros and NaN carry no sign."""
+    u, v = max(x - tol, lo), min(x + tol, hi)
+    points = {u, x, v}
+    for r in func.roots:
+        for point in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)):
+            if u <= point <= v:
+                points.add(float(point))
+    ys = func(np.array(sorted(points)))
+    signs = np.sign(ys[(ys != 0.0) & ~np.isnan(ys)])
+    return bool(np.any(signs[1:] != signs[:-1]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(scan_cases())
 def test_vectorized_bisection_matches_scalar_loop(case):
+    """The scan finds the scalar loop's roots: as many, in the same cells and
+    order.  A grid zero is the same grid point.  Any other root is an exact
+    zero of its curve, or within ``tol`` of a sign change of the curve inside
+    its cell; and within ``tol / 2`` (plus rounding) of the factor root when
+    the cell holds only one.  Where a cell holds three roots the two may close on different
+    ones."""
     funcs, scan_points, tol = case
     if len(funcs) == 1:
         func = funcs[0]
@@ -111,14 +142,27 @@ def test_vectorized_bisection_matches_scalar_loop(case):
         def func(x):
             return np.stack([f(x) for f in funcs])
 
+    xs = np.linspace(0.0, 1.0, scan_points + 1)
     with np.errstate(invalid="ignore", over="ignore"):
         expected = [
-            root
+            (f, cell, root)
             for f in funcs
-            for root in reference_find_sign_changes(f, 0.0, 1.0, scan_points, tol)
+            for cell, root in reference_find_sign_changes(f, 0.0, 1.0, scan_points, tol)
         ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         found = find_sign_changes(func, 0.0, 1.0, scan_points, tol)
-    assert found == expected
+    assert len(found) == len(expected)
+    for root, (f, cell, reference_root) in zip(found, expected):
+        lo, hi = xs[cell], xs[cell + 1]
+        if f(np.array([lo]))[0] == 0.0:
+            assert root == reference_root
+            continue
+        assert lo <= root <= hi
+        assert f(np.array([root]))[0] == 0.0 or changes_sign_near(f, root, tol, lo, hi)
+        in_cell = [r for r in f.roots if lo <= r <= hi]
+        if len(in_cell) == 1:  # the midpoint of a bracket at most tol wide
+            assert abs(root - in_cell[0]) <= 0.5 * tol + 2.0 ** -52
 
 
 def test_all_zero_scan_returns_every_interior_grid_point():
@@ -127,16 +171,18 @@ def test_all_zero_scan_returns_every_interior_grid_point():
 
 
 def test_infinite_endpoints_raise_no_warning():
-    # both densities are infinite at 0: the scan sees inf - inf there
+    # both densities are infinite at 0: the scan sees inf - inf there; the
+    # densities cross where 1 - x = B(0.5, 3) / B(0.5, 2) = 0.8
     def gap(x):
         return beta_pdf(x, 0.5, 2.0) - beta_pdf(x, 0.5, 3.0)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         roots = find_sign_changes(gap, 0.0, 1.0)
-    assert len(roots) == 1
     with np.errstate(invalid="ignore"):
-        assert roots == reference_find_sign_changes(gap, 0.0, 1.0)
+        expected = reference_find_sign_changes(gap, 0.0, 1.0)
+    assert len(roots) == len(expected) == 1
+    assert abs(roots[0] - 0.2) <= 1e-13
 
 
 def test_nonfinite_panel_raises():
@@ -315,6 +361,86 @@ def test_each_node_array_is_evaluated_once_per_call(monkeypatch):
     separate = [_continuous_varieties(model, [kind])[0] for kind in kinds]
     assert shared_calls < len(seen)
     assert together == separate
+
+
+def counting(func):
+    """``func`` wrapped to record each call, and the list of calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return func(x)
+
+    return counted, calls
+
+
+SCAN_MODELS = [get_preset(name).with_ratio(0.3) for name in PRESETS] + [
+    beta_model(4, (0.1, 0.2, 0.3, 0.4), [(8, 3), (4, 5), (2, 7), (3, 3)], 0.3),
+]
+
+
+def test_kink_scan_takes_few_calls(monkeypatch):
+    # bisection takes 1 + 35 calls per scan: 35 halvings of a 1/512 cell
+    # reach 1e-13
+    counts = []
+
+    def counting_scan(func, *args, **kwargs):
+        counted, calls = counting(func)
+        roots = find_sign_changes(counted, *args, **kwargs)
+        counts.append(len(calls))
+        return roots
+
+    monkeypatch.setattr(synthesis, "find_sign_changes", counting_scan)
+    for model in SCAN_MODELS:
+        _continuous_varieties(model, [BUILTIN_KINDS["tvd"]])
+    assert len(counts) == len(SCAN_MODELS)
+    assert max(counts) <= 12
+    assert sum(counts) / len(counts) <= 8
+
+
+def test_rows_crossing_together_give_one_break_point(monkeypatch):
+    # both rows of a two-choice model cross the mean at one point; their
+    # roots may differ by up to the scan's tolerance, and a break point
+    # for each would add a sliver panel for every kind
+    model = get_preset("uniform-2").with_ratio(0.3)
+    roots = find_sign_changes(
+        lambda x: np.subtract(*synthesis._densities(model, x)), 0.0, 1.0
+    )
+    seen = []
+    quad = synthesis.adaptive_quadrature
+
+    def recording(func, lo, hi, tol, break_points=()):
+        seen.append(sorted(set(break_points)))
+        return quad(func, lo, hi, tol, break_points)
+
+    monkeypatch.setattr(synthesis, "adaptive_quadrature", recording)
+    _continuous_varieties(model, [BUILTIN_KINDS["tvd"]])
+    (kinks,) = seen
+    assert len(roots) == 4 and len(kinks) == 2
+    for root in roots:
+        assert min(abs(root - kink) for kink in kinks) <= 1e-13
+
+
+HARD_CURVES = {
+    "step": lambda r: lambda x: np.where(x < r, -1.0, 1.0),
+    "power21": lambda r: lambda x: (x - r) ** 21,
+    "triple": lambda r: lambda x: 1e150 * (x - r) ** 3,
+}
+HARD_ROOTS = [1 / 3, 0.3217, 2 ** -0.5, 0.5 + 1e-9] + [
+    float(r) for r in np.random.default_rng(1997).uniform(0.0, 1.0, 8)
+]
+
+
+@pytest.mark.parametrize("root", HARD_ROOTS)
+@pytest.mark.parametrize("name", sorted(HARD_CURVES))
+def test_hard_roots_cost_at_most_four_calls_more_than_bisection(name, root):
+    func = HARD_CURVES[name](root)
+    scan, scan_calls = counting(func)
+    loop, loop_calls = counting(func)
+    found = find_sign_changes(scan, 0.0, 1.0)
+    reference_find_sign_changes(loop, 0.0, 1.0)
+    assert len(scan_calls) <= len(loop_calls) + 4
+    assert len(found) == 1 and abs(found[0] - root) <= 1e-13
 
 
 # shapes below 1 are left out: some of those models still fail on a

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fvariety import (
     BUILTIN_KINDS,
@@ -133,6 +136,14 @@ class TestFDivergence:
             term = pointwise_contributions(np.array([1e-320]), np.array([1.0]), kind)
         assert term.tolist() == [kind.tail]
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+    def test_nan_is_not_a_probability(self, kind):
+        # a NaN total used to pass the sum check: TVD read 0.25, KL -0.347
+        with pytest.raises(NotAProbability):
+            f_divergence([math.nan, 1.0], [0.5, 0.5], kind)
+        with pytest.raises(NotAProbability):
+            f_divergence([0.5, 0.5], [math.nan, 1.0], kind)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             f_divergence([0.5, 0.5], [0.2, 0.3, 0.5], TVD)
@@ -162,6 +173,61 @@ class TestFDivergence:
                     assert math.isinf(actual)
                 else:
                     assert actual == pytest.approx(expected, abs=1e-12)
+
+
+def masked_pointwise_contributions(p, q, kind):
+    """The terms p*f(q/p) computed through the three zero-mass masks only,
+    with no branch for tables where every cell has both masses."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    p, q = np.broadcast_arrays(p, q)
+    negligible = q * 1e-300
+    both = (p > negligible) & (q > 0.0)
+    if np.any(both):
+        out[both] = p[both] * np.asarray(kind.generator(q[both] / p[both]))
+    q_only = (p <= negligible) & (q > 0.0)
+    if np.any(q_only):
+        out[q_only] = q[q_only] * kind.tail
+    p_only = (p > 0.0) & (q == 0.0)
+    if np.any(p_only):
+        out[p_only] = p[p_only] * kind.zero_limit
+    return out
+
+
+POSITIVE_MASS = st.floats(1e-3, 10.0) | st.sampled_from([1e-20, 1e-310])
+ANY_MASS = POSITIVE_MASS | st.sampled_from([0.0, math.inf])
+
+
+@st.composite
+def mass_pairs(draw):
+    """(p, q) as a (C, 15) table against a (15,) column, or a (T, C, B)
+    stack against a stack, a (T, 1, B) column stack or a (B,) row; about
+    half the pairs have no zero or infinite cell."""
+    n_choices = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        p_shape, q_shape = (n_choices, 15), (15,)
+    else:
+        tables, n_bins = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        p_shape = (tables, n_choices, n_bins)
+        q_shape = draw(st.sampled_from([p_shape, (tables, 1, n_bins), (n_bins,)]))
+    mass = draw(st.sampled_from([POSITIVE_MASS, ANY_MASS]))
+    return (
+        draw(hnp.arrays(np.float64, p_shape, elements=mass)),
+        draw(hnp.arrays(np.float64, q_shape, elements=mass)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mass_pairs(), st.sampled_from(ALL_KINDS))
+def test_pointwise_contributions_match_the_masked_terms_bit_for_bit(pair, kind):
+    p, q = pair
+    with np.errstate(all="ignore"):  # inf/inf and inf*0 give NaN on both sides
+        found = pointwise_contributions(p, q, kind)
+        expected = masked_pointwise_contributions(p, q, kind)
+    assert found.shape == expected.shape
+    np.testing.assert_array_equal(found, expected)
+    np.testing.assert_array_equal(np.signbit(found), np.signbit(expected))
 
 
 class TestFVariety:

@@ -191,3 +191,9 @@ class TestFindSignChanges:
 
     def test_no_roots(self):
         assert find_sign_changes(lambda x: x + 1.0, 0.0, 1.0) == []
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-13, math.inf, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a zero tol made the step budget 0 * inf and the root NaN
+        with pytest.raises(DomainError):
+            find_sign_changes(lambda x: x - 0.37, 0.0, 1.0, tol=tol)
