@@ -142,7 +142,10 @@ def adaptive_quadrature(
     return total
 
 
-def _chandrupatla_t(x1, x2, x3, f1, f2, f3):
+def _chandrupatla_t(
+    x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
+    f1: np.ndarray, f2: np.ndarray, f3: np.ndarray,
+) -> np.ndarray:
     """Where the next point goes on [x1, x2], as a fraction t of the way
     from x1: inverse quadratic interpolation through the three points where
     Chandrupatla's test finds it safe, 0.5 (the midpoint) elsewhere."""

@@ -133,8 +133,8 @@ def test_vectorized_bisection_matches_scalar_loop(case):
     order.  A grid zero is the same grid point.  Any other root is an exact
     zero of its curve, or within ``tol`` of a sign change of the curve inside
     its cell; and within ``tol / 2`` (plus rounding) of the factor root when
-    the cell holds only one.  Where a cell holds three roots the two may close on different
-    ones."""
+    the cell holds only one.  Where a cell holds three roots the two may
+    close on different ones."""
     funcs, scan_points, tol = case
     if len(funcs) == 1:
         func = funcs[0]

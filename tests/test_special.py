@@ -194,6 +194,6 @@ class TestFindSignChanges:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-13, math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
-        # a zero tol made the step budget 0 * inf and the root NaN
+        # the step budget needs a finite positive tol: 0 would make it 0 * inf
         with pytest.raises(DomainError):
             find_sign_changes(lambda x: x - 0.37, 0.0, 1.0, tol=tol)
