@@ -12,7 +12,6 @@ distribution and its uninformative projection.
 from .distributions import (
     JointDistribution,
     is_uninformative,
-    make_joint,
     mix,
     uninformative_projection,
 )
@@ -30,7 +29,6 @@ from .divergence import (
     tvd_variety_binary_closed_form,
 )
 from .estimation import (
-    GroupComparison,
     SampleSet,
     compare_groups_equalized,
     empirical_f_variety,
@@ -60,7 +58,6 @@ __all__ = [
     "BUILTIN_KINDS",
     "BetaParams",
     "DivergenceKind",
-    "GroupComparison",
     "HELLINGER",
     "JointDistribution",
     "KL",
@@ -87,7 +84,6 @@ __all__ = [
     "get_preset",
     "is_uninformative",
     "load_survey",
-    "make_joint",
     "mix",
     "run_sweep",
     "tvd_variety_binary_closed_form",

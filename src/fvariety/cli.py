@@ -29,12 +29,7 @@ from .experiments import (
 )
 from .sampling import RandomStream
 from .survey import RespondentFilter, analyze, load_survey
-from .synthesis import (
-    PopulationModel,
-    _continuous_varieties,
-    exact_discretized_joint,
-    get_preset,
-)
+from .synthesis import PopulationModel, _model_varieties, get_preset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,17 +54,23 @@ def _resolve_model(args: argparse.Namespace) -> PopulationModel:
     return get_preset(args.preset)
 
 
-def _kind_names(text: str) -> list[str]:
-    """Names in a ``--divergence`` comma list; empty entries are skipped."""
-    names = [name.strip() for name in text.split(",") if name.strip()]
-    if not names:
-        raise ConfigError(f"--divergence names no kind, got {text!r}")
-    return names
+def _comma_list(text: str, option: str, noun: str, convert: type = str) -> tuple:
+    """The entries of a comma-list option, stripped and converted; empty
+    entries are skipped, and a list without entries is an error."""
+    try:
+        values = tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(
+            f"{option} must be comma-separated {convert.__name__} values, got {text!r}"
+        ) from None
+    if not values:
+        raise ConfigError(f"{option} names no {noun}, got {text!r}")
+    return values
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     dist = JointDistribution.from_json_dict(_load_json(args.joint))
-    for name in _kind_names(args.divergence):
+    for name in _comma_list(args.divergence, "--divergence", "kind"):
         kind = get_kind(name)
         print(f"{kind.name} {f_variety(dist, kind):.12g}")
     return EXIT_OK
@@ -77,21 +78,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_theoretical(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
-    kinds = [get_kind(name) for name in _kind_names(args.divergence)]
-    joint = exact_discretized_joint(model)
-    for kind, cont in zip(kinds, _continuous_varieties(model, kinds, tol=args.tol)):
+    kinds = [get_kind(name) for name in _comma_list(args.divergence, "--divergence", "kind")]
+    _, conts, discs = _model_varieties(model, kinds, tol=args.tol)
+    for kind, cont, disc in zip(kinds, conts, discs):
         print(f"{kind.name} continuous {cont:.12g}")
-        print(f"{kind.name} discretized {f_variety(joint, kind):.12g}")
+        print(f"{kind.name} discretized {disc:.12g}")
     return EXIT_OK
-
-
-def _parse_list(text: str, convert: type, option: str) -> tuple:
-    try:
-        return tuple(convert(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(
-            f"{option} must be comma-separated {convert.__name__} values, got {text!r}"
-        ) from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -99,10 +91,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = SweepConfig(
         model=_resolve_model(args),
-        ratios=_parse_list(args.ratios, float, "--ratios"),
-        sample_sizes=_parse_list(args.sizes, int, "--sizes"),
+        ratios=_comma_list(args.ratios, "--ratios", "ratio", float),
+        sample_sizes=_comma_list(args.sizes, "--sizes", "size", int),
         trials_per_point=args.trials,
-        divergences=tuple(_kind_names(args.divergence)),
+        divergences=_comma_list(args.divergence, "--divergence", "kind"),
         base_seed=args.seed,
     )
     rows = run_sweep(config)
@@ -113,8 +105,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset = load_survey(args.responses, args.respondents)
-    if args.questions:
-        question_ids = [q.strip() for q in args.questions.split(",") if q.strip()]
+    if args.questions is not None:
+        question_ids = _comma_list(args.questions, "--questions", "question")
     else:
         question_ids = [q.question_id for q in dataset.questions]
     filter_a = RespondentFilter.parse(args.filter) if args.filter else None
@@ -145,6 +137,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_model_options(p: argparse.ArgumentParser) -> None:
+    """The model and kind list of ``theoretical`` and ``simulate``."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--model", help="path to a population-model JSON file")
+    group.add_argument("--preset", help="named preset model")
+    p.add_argument("--divergence", default="tvd", help="comma-separated kind names")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="variety",
@@ -158,18 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("theoretical", help="model values by quadrature")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model", help="path to a population-model JSON file")
-    group.add_argument("--preset", help="named preset model")
-    p.add_argument("--divergence", default="tvd", help="comma-separated kind names")
+    _add_model_options(p)
     p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
     p.set_defaults(func=_cmd_theoretical)
 
     p = sub.add_parser("simulate", help="ratio/sample-size sweep")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model", help="path to a population-model JSON file")
-    group.add_argument("--preset", help="named preset model")
-    p.add_argument("--divergence", default="tvd", help="comma-separated kind names")
+    _add_model_options(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100, help="trials per grid point")
     p.add_argument(

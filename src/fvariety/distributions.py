@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class JointDistribution:
             raise BadShape(f"joint JSON object missing field: {exc}") from exc
         except (ValueError, OverflowError) as exc:
             raise BadShape(f"joint JSON object has a malformed field: {exc}") from exc
-        return make_joint(mass, n_choices, n_bins)
+        return cls(n_choices=n_choices, n_bins=n_bins, mass=mass)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -106,19 +106,6 @@ class JointDistribution:
 
     def prediction_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
-
-
-def make_joint(
-    mass_table: Sequence[Sequence[float]] | np.ndarray,
-    n_choices: int,
-    n_bins: int,
-) -> JointDistribution:
-    """Validate a raw table and return the joint distribution it defines.
-
-    Tables whose total is within 1e-9 of 1 are renormalized to sum
-    exactly 1; larger deviations raise :class:`NotNormalized`.
-    """
-    return JointDistribution(n_choices=n_choices, n_bins=n_bins, mass=mass_table)
 
 
 def mix(

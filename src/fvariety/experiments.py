@@ -18,11 +18,11 @@ from typing import Literal
 
 import numpy as np
 
-from .divergence import f_variety, get_kind
+from .divergence import get_kind
 from .errors import ConfigError, IoError
 from .estimation import _count_varieties, _trial_std
 from .sampling import RandomStream
-from .synthesis import PopulationModel, _continuous_varieties, exact_discretized_joint
+from .synthesis import PopulationModel, _model_varieties
 
 DEFAULT_RATIOS = tuple(k / 10 for k in range(11))
 DEFAULT_SAMPLE_SIZES = (100, 200, 500, 1000)
@@ -92,10 +92,7 @@ def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     root = RandomStream(config.base_seed)
     blocks: list[list[SweepRow]] = [[] for _ in kinds]  # one per entry, duplicates kept
     for ri, ratio in enumerate(config.ratios):
-        model = config.model.with_ratio(ratio)
-        joint = exact_discretized_joint(model)
-        conts = _continuous_varieties(model, kinds)
-        discs = [f_variety(joint, kind) for kind in kinds]
+        joint, conts, discs = _model_varieties(config.model.with_ratio(ratio), kinds)
         for n in config.sample_sizes:
             stream = root.spawn("tables", ri, n)
             counts = _sample_tables(joint.mass, n, config.trials_per_point, stream)
@@ -106,7 +103,7 @@ def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
                 block.append(
                     SweepRow(
                         kind=name,
-                        ratio=ratio,
+                        ratio=float(ratio),
                         n=n,
                         empirical_mean=float(values.mean()),
                         empirical_std=_trial_std(values),
@@ -117,7 +114,18 @@ def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     return tuple(row for block in blocks for row in block)
 
 
-CSV_HEADER = "kind,ratio,n,mean,std,theory_cont,theory_disc"
+# (column, SweepRow field) of both output formats, in order; the float
+# fields are written with 6 significant digits
+_COLUMNS = (
+    ("kind", "kind"),
+    ("ratio", "ratio"),
+    ("n", "n"),
+    ("mean", "empirical_mean"),
+    ("std", "empirical_std"),
+    ("theory_cont", "theoretical_continuous"),
+    ("theory_disc", "theoretical_discretized"),
+)
+CSV_HEADER = ",".join(column for column, _ in _COLUMNS)
 
 
 def _sig6(x: float) -> str:
@@ -132,27 +140,17 @@ def write_sweep(
     Output bytes depend only on ``rows``, so identical runs produce
     identical files.
     """
+    cells = ([(column, getattr(r, name)) for column, name in _COLUMNS] for r in rows)
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(
-                f"{r.kind},{_sig6(r.ratio)},{r.n},{_sig6(r.empirical_mean)},"
-                f"{_sig6(r.empirical_std)},{_sig6(r.theoretical_continuous)},"
-                f"{_sig6(r.theoretical_discretized)}"
-            )
+        lines = [CSV_HEADER] + [
+            ",".join(_sig6(v) if isinstance(v, float) else str(v) for _, v in row)
+            for row in cells
+        ]
         payload = "\n".join(lines) + "\n"
     elif format == "json":
         records = [
-            {
-                "kind": r.kind,
-                "ratio": float(_sig6(r.ratio)),
-                "n": r.n,
-                "mean": float(_sig6(r.empirical_mean)),
-                "std": float(_sig6(r.empirical_std)),
-                "theory_cont": float(_sig6(r.theoretical_continuous)),
-                "theory_disc": float(_sig6(r.theoretical_discretized)),
-            }
-            for r in rows
+            {c: float(_sig6(v)) if isinstance(v, float) else v for c, v in row}
+            for row in cells
         ]
         payload = json.dumps(records, indent=2) + "\n"
     else:

@@ -77,7 +77,7 @@ def _panel(func: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tu
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid + half * _KRONROD_NODES
-    with np.errstate(invalid="ignore", divide="ignore"):  # checked below
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # checked below
         y = np.asarray(func(x), dtype=np.float64)
     kronrod = half * float(_KRONROD_WEIGHTS @ y)
     gauss = half * float(_GAUSS_WEIGHTS @ y[1::2])
@@ -193,11 +193,13 @@ def find_sign_changes(
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     xs = np.linspace(lo, hi, scan_points + 1)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         ys = np.atleast_2d(np.asarray(func(xs), dtype=np.float64))
-        y0, y1 = ys[:, :-1], ys[:, 1:]
-        on_grid = (y0 == 0.0) & (xs[:-1] > lo) & (xs[:-1] < hi)
-        bracketed = (y0 != 0.0) & (y0 * y1 < 0.0)
+    y0, y1 = ys[:, :-1], ys[:, 1:]
+    on_grid = (y0 == 0.0) & (xs[:-1] > lo) & (xs[:-1] < hi)
+    # signs, not the product: two tiny values multiply to 0; a NaN or a 0
+    # at either end brackets nothing
+    bracketed = np.sign(y0) * np.sign(y1) < 0.0
 
     rows, cells = np.nonzero(bracketed)
     # x1 is the newest point, [x1, x2] (either order) the bracket and x3 the

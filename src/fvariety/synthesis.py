@@ -14,9 +14,10 @@ The module provides three views of the same model:
 One ``_continuous_varieties`` call evaluates each quadrature panel's
 densities once, through a memo local to the call, for all the kinds.
 
-``_continuous_varieties`` stays private although the CLI and the sweep
-call it: it is the many-kinds form of ``continuous_f_variety``, which is
-the one public entry point.
+``_model_varieties`` stays private although the CLI and the sweep call
+it: it pairs the many-kinds form of ``continuous_f_variety``, the one
+public entry point, with the discretized values, and checks the two
+against each other.
 """
 
 from __future__ import annotations
@@ -166,26 +167,34 @@ def _discretize_array(x: np.ndarray) -> np.ndarray:
     return np.floor(_GRID_STEPS * x + 0.5).astype(np.intp)
 
 
-def _bin_probabilities(params: BetaParams) -> np.ndarray:
-    cdf = np.array(
-        [regularized_incomplete_beta(params.alpha, params.beta, e) for e in BIN_EDGES]
-    )
-    return np.diff(cdf)
+def _choice_rows(model: PopulationModel, rows: np.ndarray) -> np.ndarray:
+    """Mix one row per Beta shape, experts' then the non-experts', into one
+    row per choice: (1 - r) w_c rows[c] + (r / C) rows[C], r the non-expert
+    ratio.  A term whose weight is 0 is left out, so an infinite density
+    there gives 0, not NaN."""
+    ratio = model.nonexpert_ratio
+    n = model.n_choices
+    out = np.zeros((n, rows.shape[1]))
+    if ratio > 0.0:
+        noise_term = (ratio / n) * rows[n]
+    for c, w in enumerate(model.expert_choice_weights):
+        if ratio < 1.0 and w > 0.0:
+            out[c] += (1.0 - ratio) * w * rows[c]
+        if ratio > 0.0:
+            out[c] += noise_term
+    return out
 
 
 def exact_discretized_joint(model: PopulationModel) -> JointDistribution:
     """The histogram joint an infinite sample would converge to."""
-    ratio = model.nonexpert_ratio
-    noise_bins = _bin_probabilities(model.nonexpert_prediction)
-    mass = np.empty((model.n_choices, N_PREDICTION_BINS))
-    for c in range(model.n_choices):
-        expert_bins = _bin_probabilities(model.expert_prediction[c])
-        mass[c] = (
-            (1.0 - ratio) * model.expert_choice_weights[c] * expert_bins
-            + ratio * noise_bins / model.n_choices
-        )
+    cdf = [
+        [regularized_incomplete_beta(p.alpha, p.beta, e) for e in BIN_EDGES]
+        for p in (*model.expert_prediction, model.nonexpert_prediction)
+    ]
     return JointDistribution(
-        n_choices=model.n_choices, n_bins=N_PREDICTION_BINS, mass=mass
+        n_choices=model.n_choices,
+        n_bins=N_PREDICTION_BINS,
+        mass=_choice_rows(model, np.diff(cdf)),
     )
 
 
@@ -209,27 +218,13 @@ def _is_uninformative(model: PopulationModel) -> bool:
 def _densities(model: PopulationModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint densities of (choice=c, prediction=x) as a (C, len(x)) array,
     and their mean over choices, the uninformative mixture density."""
-    ratio = model.nonexpert_ratio
-    n = model.n_choices
     x = np.asarray(x, dtype=np.float64)
-    noise = model.nonexpert_prediction
-    pdf = _beta_pdf_rows(
-        x,
-        [(p.alpha, p.beta) for p in model.expert_prediction]
-        + [(noise.alpha, noise.beta)],
-    )
-    out = np.zeros((n, len(x)))
-    if ratio > 0.0:
-        noise_term = (ratio / n) * pdf[n]
-    for c, w in enumerate(model.expert_choice_weights):
-        if ratio < 1.0 and w > 0.0:
-            out[c] += (1.0 - ratio) * w * pdf[c]
-        if ratio > 0.0:
-            out[c] += noise_term
+    shapes = (*model.expert_prediction, model.nonexpert_prediction)
+    out = _choice_rows(model, _beta_pdf_rows(x, [(p.alpha, p.beta) for p in shapes]))
     total = np.zeros(len(x))
     for row in out:  # summed in choice order
         total += row
-    return out, total / n
+    return out, total / model.n_choices
 
 
 def _continuous_varieties(
@@ -270,6 +265,30 @@ def _continuous_varieties(
         except QuadratureFailure as exc:
             raise QuadratureFailure(f"{kind.name}: {exc}") from None
     return totals
+
+
+def _model_varieties(
+    model: PopulationModel, kinds: Sequence[DivergenceKind], tol: float = 1e-8
+) -> tuple[JointDistribution, list[float], list[float]]:
+    """The model's :func:`exact_discretized_joint`, and the continuous and
+    the discretized variety of every kind in ``kinds``.
+
+    Binning predictions cannot raise an f-divergence (the data-processing
+    inequality), so a continuous value more than ``tol`` below its
+    discretized one is a quadrature that missed mass, and raises
+    :class:`QuadratureFailure` naming the kind.
+    """
+    joint = exact_discretized_joint(model)
+    conts = _continuous_varieties(model, kinds, tol)
+    discs = [f_variety(joint, kind) for kind in kinds]
+    for kind, cont, disc in zip(kinds, conts, discs):
+        if cont < disc - tol:
+            raise QuadratureFailure(
+                f"{kind.name}: continuous value {cont:.12g} is below the "
+                f"discretized {disc:.12g} by more than tol {tol:g}; binning "
+                f"cannot raise a divergence"
+            )
+    return joint, conts, discs
 
 
 def continuous_f_variety(

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "BUILTIN_KINDS",
     "BetaParams",
     "DivergenceKind",
-    "GroupComparison",
     "HELLINGER",
     "JointDistribution",
     "KL",
@@ -44,7 +43,6 @@ PUBLIC_NAMES = [
     "get_preset",
     "is_uninformative",
     "load_survey",
-    "make_joint",
     "mix",
     "run_sweep",
     "tvd_variety_binary_closed_form",

@@ -249,6 +249,18 @@ class TestAnalyze:
             "analyze", "--responses", "/no/such.csv", "--respondents", respondents,
         ]) == 3
 
+    def test_out_into_a_missing_directory_exits_3(self, survey_paths, tmp_path, capsys):
+        responses, respondents = survey_paths
+        out = tmp_path / "missing" / "report.csv"
+        assert main([
+            "analyze", "--responses", responses, "--respondents", respondents,
+            "--out", str(out),
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 @pytest.mark.parametrize("command", ["compute", "theoretical", "simulate"])
 class TestDivergenceList:
@@ -278,6 +290,24 @@ class TestDivergenceList:
         code, output, err = self.run(command, empty, joint_path, tmp_path, capsys)
         assert (code, output) == (2, "")
         assert err == f"error: --divergence names no kind, got {empty!r}\n"
+
+
+@pytest.mark.parametrize("empty", [",", "", " , "])
+@pytest.mark.parametrize("option, noun", [
+    ("--ratios", "ratio"), ("--sizes", "size"), ("--questions", "question"),
+])
+def test_every_empty_comma_list_exits_2(option, noun, empty, survey_paths, tmp_path, capsys):
+    # an empty --questions list used to score no question and exit 0
+    responses, respondents = survey_paths
+    out = tmp_path / "out.csv"
+    if option == "--questions":
+        argv = ["analyze", "--responses", responses, "--respondents", respondents]
+    else:
+        argv = ["simulate", "--preset", "uniform-1", "--out", str(out)]
+    assert main(argv + [option, empty]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {option} names no {noun}, got {empty!r}\n"
 
 
 def test_module_entry_point_help():

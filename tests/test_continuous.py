@@ -59,7 +59,7 @@ def reference_find_sign_changes(func, lo, hi, scan_points=512, tol=1e-13):
             if lo < xs[i] < hi:
                 roots.append((i, float(xs[i])))
             continue
-        if y0 * y1 < 0.0:
+        if np.sign(y0) * np.sign(y1) < 0.0:
             a, b = float(xs[i]), float(xs[i + 1])
             fa = float(y0)
             while b - a > tol:
@@ -68,7 +68,7 @@ def reference_find_sign_changes(func, lo, hi, scan_points=512, tol=1e-13):
                 if fm == 0.0:
                     a = b = m
                     break
-                if fa * fm < 0.0:
+                if np.sign(fa) * np.sign(fm) < 0.0:
                     b = m
                 else:
                     a, fa = m, fm

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fvariety import (
     JointDistribution,
     is_uninformative,
-    make_joint,
     mix,
     uninformative_projection,
 )
@@ -41,23 +40,23 @@ def joint_tables(draw, max_choices=4, max_bins=11):
 
 class TestMakeJoint:
     def test_uniform_table_is_valid(self):
-        dist = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         assert dist.n_choices == 2 and dist.n_bins == 2
         assert dist.mass.sum() == 1.0
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeMass):
-            make_joint([[0.5, -0.1], [0.3, 0.3]], 2, 2)
+            JointDistribution(2, 2, [[0.5, -0.1], [0.3, 0.3]])
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NotNormalized):
-            make_joint([[0.5, 0.5], [0.5, 0.5]], 2, 2)
+            JointDistribution(2, 2, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(BadShape):
-            make_joint([[0.5, 0.5]], 2, 2)
+            JointDistribution(2, 2, [[0.5, 0.5]])
         with pytest.raises(BadShape):
-            make_joint([[1.0]], 1, 1)  # fewer than 2 choices
+            JointDistribution(1, 1, [[1.0]])  # fewer than 2 choices
 
     @pytest.mark.parametrize(
         "n_choices, n_bins, mass",
@@ -81,30 +80,30 @@ class TestMakeJoint:
 
     def test_small_drift_renormalized_exactly(self):
         drift = 1.0 + 5e-10
-        dist = make_joint(np.full((2, 2), drift / 4), 2, 2)
+        dist = JointDistribution(2, 2, np.full((2, 2), drift / 4))
         assert dist.mass.sum() == 1.0
 
     def test_mass_is_read_only(self):
-        dist = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         with pytest.raises(ValueError):
             dist.mass[0, 0] = 0.9
 
 
 class TestMarginals:
     def test_diagonal(self):
-        dist = make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])
         choice, prediction = dist.choice_marginal(), dist.prediction_marginal()
         np.testing.assert_allclose(choice, [0.5, 0.5])
         np.testing.assert_allclose(prediction, [0.5, 0.5])
 
     def test_independent_nonuniform(self):
-        dist = make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]])
         choice, prediction = dist.choice_marginal(), dist.prediction_marginal()
         np.testing.assert_allclose(choice, [0.8, 0.2])
         np.testing.assert_allclose(prediction, [0.5, 0.5])
 
     def test_uniform_2x11(self):
-        dist = make_joint(np.full((2, 11), 1 / 22), 2, 11)
+        dist = JointDistribution(2, 11, np.full((2, 11), 1 / 22))
         choice, prediction = dist.choice_marginal(), dist.prediction_marginal()
         np.testing.assert_allclose(choice, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(prediction, np.full(11, 1 / 11), atol=1e-12)
@@ -114,8 +113,8 @@ class TestMix:
     def test_convex_combination(self):
         mixed = mix(
             [
-                (0.5, make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)),
-                (0.5, make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)),
+                (0.5, JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])),
+                (0.5, JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])),
             ]
         )
         np.testing.assert_allclose(
@@ -123,11 +122,11 @@ class TestMix:
         )
 
     def test_single_component_identity(self):
-        dist = make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]])
         np.testing.assert_array_equal(mix([(1.0, dist)]).mass, dist.mass)
 
     def test_bad_weights(self):
-        dist = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         with pytest.raises(BadWeights):
             mix([(0.3, dist), (0.8, dist)])
         with pytest.raises(BadWeights):
@@ -136,19 +135,19 @@ class TestMix:
             mix([])
 
     def test_shape_mismatch(self):
-        a = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
-        b = make_joint(np.full((2, 3), 1 / 6), 2, 3)
+        a = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
+        b = JointDistribution(2, 3, np.full((2, 3), 1 / 6))
         with pytest.raises(ShapeMismatch):
             mix([(0.5, a), (0.5, b)])
 
 
 class TestUninformativeProjection:
     def test_diagonal_projects_to_uniform(self):
-        projected = uninformative_projection(make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2))
+        projected = uninformative_projection(JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]]))
         np.testing.assert_allclose(projected.mass, np.full((2, 2), 0.25), atol=1e-15)
 
     def test_same_prediction_marginal_same_projection(self):
-        projected = uninformative_projection(make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2))
+        projected = uninformative_projection(JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]]))
         np.testing.assert_allclose(projected.mass, np.full((2, 2), 0.25), atol=1e-15)
 
     def test_fixed_point_on_uninformative(self, rng):
@@ -160,16 +159,16 @@ class TestUninformativeProjection:
 
 class TestIsUninformative:
     def test_uniform_table(self):
-        assert is_uninformative(make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2), 1e-9)
+        assert is_uninformative(JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]]), 1e-9)
 
     def test_nonuniform_choices_informative(self):
-        assert not is_uninformative(make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2), 1e-9)
+        assert not is_uninformative(JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]]), 1e-9)
 
     def test_dependent_prediction_informative(self):
-        assert not is_uninformative(make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2), 1e-9)
+        assert not is_uninformative(JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]]), 1e-9)
 
     def test_tol_must_be_positive(self):
-        dist = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         with pytest.raises(DomainError):
             is_uninformative(dist, 0.0)
 
@@ -236,7 +235,7 @@ def test_additivity_informative_mass_survives_mixing(rng):
 
 
 def test_json_round_trip():
-    dist = make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2)
+    dist = JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]])
     payload = json.dumps(dist.to_json_dict())
     restored = JointDistribution.from_json_dict(json.loads(payload))
     assert restored.n_choices == 2 and restored.n_bins == 2

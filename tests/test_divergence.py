@@ -19,7 +19,6 @@ from fvariety import (
     f_divergence,
     f_variety,
     get_kind,
-    make_joint,
     mix,
     tvd_variety_binary_closed_form,
     uninformative_projection,
@@ -232,7 +231,7 @@ def test_pointwise_contributions_match_the_masked_terms_bit_for_bit(pair, kind):
 
 class TestFVariety:
     def test_uninformative_is_zero(self):
-        dist = make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         assert f_variety(dist, TVD) == 0.0
 
     def test_equal_rows_score_exactly_zero(self):
@@ -247,7 +246,7 @@ class TestFVariety:
             assert values[:2].tolist() == [0.0, 0.0] and values[2] > 0.0
 
     def test_diagonal_values_for_all_builtins(self):
-        dist = make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])
         assert f_variety(dist, TVD) == pytest.approx(0.5, abs=1e-12)
         assert f_variety(dist, PEARSON) == pytest.approx(1.0, abs=1e-12)
         assert f_variety(dist, HELLINGER) == pytest.approx(
@@ -256,13 +255,13 @@ class TestFVariety:
         assert f_variety(dist, KL) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_independent_nonuniform_choices(self):
-        assert f_variety(make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2), TVD) == (
+        assert f_variety(JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]]), TVD) == (
             pytest.approx(0.3, abs=1e-12)
         )
 
     def test_degenerate_point_mass(self):
         # all mass on one (choice, bin) cell; projection splits it in half
-        assert f_variety(make_joint([[1.0, 0.0], [0.0, 0.0]], 2, 2), TVD) == (
+        assert f_variety(JointDistribution(2, 2, [[1.0, 0.0], [0.0, 0.0]]), TVD) == (
             pytest.approx(0.5, abs=1e-12)
         )
 
@@ -271,7 +270,7 @@ class TestFVariety:
         for _ in range(100):
             mass = rng.dirichlet(np.ones(6)).reshape(2, 3)
             mass[:, int(rng.integers(3))] = 0.0
-            dist = make_joint(mass / mass.sum(), 2, 3)
+            dist = JointDistribution(2, 3, mass / mass.sum())
             for kind in ALL_KINDS:
                 assert math.isfinite(f_variety(dist, kind))
 
@@ -279,14 +278,14 @@ class TestFVariety:
 class TestClosedFormAndBaseline:
     def test_closed_form_examples(self):
         assert tvd_variety_binary_closed_form(
-            make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)
+            JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])
         ) == pytest.approx(0.5, abs=1e-15)
         assert tvd_variety_binary_closed_form(
-            make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2)
+            JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]])
         ) == pytest.approx(0.3, abs=1e-15)
 
     def test_closed_form_requires_binary(self):
-        dist = make_joint(np.full((3, 2), 1 / 6), 3, 2)
+        dist = JointDistribution(3, 2, np.full((3, 2), 1 / 6))
         with pytest.raises(NotBinary):
             tvd_variety_binary_closed_form(dist)
         with pytest.raises(NotBinary):
@@ -300,17 +299,17 @@ class TestClosedFormAndBaseline:
             )
 
     def test_baseline_examples(self):
-        assert baseline(make_joint([[0.25, 0.25], [0.25, 0.25]], 2, 2)) == 0.0
-        assert baseline(make_joint([[0.4, 0.4], [0.1, 0.1]], 2, 2)) == (
+        assert baseline(JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])) == 0.0
+        assert baseline(JointDistribution(2, 2, [[0.4, 0.4], [0.1, 0.1]])) == (
             pytest.approx(0.3, abs=1e-15)
         )
-        dist = make_joint([[0.342, 0.342], [0.158, 0.158]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.342, 0.342], [0.158, 0.158]])
         assert baseline(dist) == pytest.approx(0.184, abs=1e-12)
 
     def test_baseline_blind_to_equal_affection(self):
         # uniform choice counts but fully choice-dependent predictions:
         # the baseline sees nothing while the variety is maximal
-        dist = make_joint([[0.5, 0.0], [0.0, 0.5]], 2, 2)
+        dist = JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])
         assert baseline(dist) == 0.0
         assert f_variety(dist, TVD) == pytest.approx(0.5, abs=1e-12)
 
@@ -357,8 +356,8 @@ class TestOrderProperties:
         # measuring against the product of the table's own marginals
         # (mutual-information style) scores a mix of two independent
         # tables as dependent, so "noise + noise" would not stay at zero.
-        a = make_joint([[0.48, 0.32], [0.12, 0.08]], 2, 2)  # independent, 80/20
-        b = make_joint([[0.1, 0.4], [0.1, 0.4]], 2, 2)  # independent, 50/50
+        a = JointDistribution(2, 2, [[0.48, 0.32], [0.12, 0.08]])  # independent, 80/20
+        b = JointDistribution(2, 2, [[0.1, 0.4], [0.1, 0.4]])  # independent, 50/50
         mixed = mix([(0.5, a), (0.5, b)])
 
         def mutual_information_style(dist):

@@ -57,6 +57,10 @@ class TestSweepConfig:
         assert config.sample_sizes == DEFAULT_SAMPLE_SIZES
         assert config.trials_per_point == 100
 
+    def test_empty_ratios(self):
+        with pytest.raises(ConfigError, match="ratios list is empty"):
+            SweepConfig(model=get_preset("uniform-1"), ratios=())
+
     def test_ratio_out_of_range(self):
         with pytest.raises(ConfigError):
             SweepConfig(model=get_preset("uniform-1"), ratios=(0.0, 1.2))

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,14 @@ class TestRegressions:
         path = write(tmp_path / "x.json", b'{"n_choices": 2\xff}')
         assert "not valid UTF-8" in assert_exit_2([command, option, path])
 
+    @pytest.mark.parametrize("command, option", [
+        ("compute", "--joint"), ("theoretical", "--model"),
+    ])
+    def test_invalid_json_file(self, tmp_path, command, option):
+        path = write(tmp_path / "x.json", '{"n_choices": 2,}')
+        err = assert_exit_2([command, option, path])
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+
     @pytest.mark.parametrize("model", [
         {"n_choices": 2},
         [MODEL],
@@ -176,6 +185,63 @@ class TestRegressions:
         path = write(tmp_path / "m.json", json.dumps(model))
         err = assert_exit_2(["theoretical", "--model", path])
         assert len(err.splitlines()) == 1
+
+    def test_overflowing_density_fails_without_a_warning(self, tmp_path):
+        # Beta(0.0186, 2)'s density overflows at the nodes of a panel next
+        # to 0; the overflow warning used to print before the error line
+        model = {**MODEL, "expert_beta": [[0.0186, 2], [2, 2]]}
+        path = write(tmp_path / "m.json", json.dumps(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run(["theoretical", "--model", path,
+                             "--divergence", "tvd,kl,pearson,hellinger"])
+        assert code == 2
+        assert err.startswith("error: kl: integrand is not finite")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["theoretical", "simulate"])
+    def test_continuous_value_below_the_discretized_is_refused(self, tmp_path, capsys,
+                                                              command):
+        # Beta(1e-300, 2) holds nearly all its mass below any quadrature
+        # node: quadrature read tvd 0.175 against a discretized 0.347
+        model = {**MODEL, "expert_beta": [[1e-300, 2], [2, 2]]}
+        path = write(tmp_path / "m.json", json.dumps(model))
+        out = tmp_path / "sweep.csv"
+        argv = [command, "--model", path, "--divergence", "tvd,kl"]
+        if command == "simulate":
+            argv += ["--ratios", "0.3", "--sizes", "20", "--trials", "2",
+                     "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: tvd: continuous value 0.175 is below ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_first_respondents_column_must_be_respondent_id(self, survey, tmp_path):
+        lines, _ = survey
+        respondents = write(tmp_path / "p.csv", "id,watches_sports\nE0001,often\n")
+        responses = write(tmp_path / "r.csv", "\n".join(lines) + "\n")
+        err = assert_exit_2(["analyze", "--responses", responses,
+                             "--respondents", respondents])
+        assert err == (f"error: {respondents}: first column must be respondent_id, "
+                       f"got ['id', 'watches_sports']\n")
+
+    def test_in_clause_without_values(self, survey, tmp_path):
+        lines, respondents = survey
+        responses = write(tmp_path / "r.csv", "\n".join(lines) + "\n")
+        err = assert_exit_2(["analyze", "--responses", responses,
+                             "--respondents", respondents,
+                             "--filter", "watches_sports in |"])
+        assert err == "error: filter clause 'watches_sports in |' lists no values\n"
+
+    def test_comparison_needs_a_trial(self, survey, tmp_path):
+        lines, respondents = survey
+        responses = write(tmp_path / "r.csv", "\n".join(lines) + "\n")
+        err = assert_exit_2(["analyze", "--responses", responses,
+                             "--respondents", respondents,
+                             "--filter", "watches_sports=often",
+                             "--filter-b", "watches_sports=rarely", "--trials", "0"])
+        assert err == "error: trials must be >= 1, got 0\n"
 
     def test_single_label_question_is_named(self, survey, tmp_path):
         _, respondents = survey

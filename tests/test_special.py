@@ -192,6 +192,12 @@ class TestFindSignChanges:
     def test_no_roots(self):
         assert find_sign_changes(lambda x: x + 1.0, 0.0, 1.0) == []
 
+    def test_tiny_values_of_opposite_sign_bracket_a_root(self):
+        # two scan values near 1e-173 multiply to 0; their signs still differ
+        roots = find_sign_changes(lambda x: 1e-170 * (x - 0.3), 0.0, 1.0)
+        assert len(roots) == 1
+        assert abs(roots[0] - 0.3) <= 1e-13
+
     @pytest.mark.parametrize("tol", [0.0, -1e-13, math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
         # the step budget needs a finite positive tol: 0 would make it 0 * inf
