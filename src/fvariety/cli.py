@@ -70,8 +70,8 @@ def _comma_list(text: str, option: str, noun: str, convert: type = str) -> tuple
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     dist = JointDistribution.from_json_dict(_load_json(args.joint))
-    for name in _comma_list(args.divergence, "--divergence", "kind"):
-        kind = get_kind(name)
+    kinds = [get_kind(name) for name in _comma_list(args.divergence, "--divergence", "kind")]
+    for kind in kinds:
         print(f"{kind.name} {f_variety(dist, kind):.12g}")
     return EXIT_OK
 

@@ -384,141 +384,127 @@ def extract_samples(
 
 
 @dataclass(frozen=True)
-class QuestionReport:
-    """Per-question metrics; the b-side fields are None for single-group runs.
+class GroupReport:
+    """One group's full-sample numbers for a question; ``baseline`` is None
+    for a question with more than two options."""
 
-    ``variety_a``/``variety_b`` are full-group values.  When two groups are
-    compared, ``comparison`` holds the equalized-subsampling outcome and
-    ``resampled_side`` names the larger group ("a" or "b"), the one whose
-    table entry is a subsample mean with an error bar.
-    """
+    respondents: int
+    variety: float
+    baseline: float | None
+
+
+@dataclass(frozen=True)
+class QuestionReport:
+    """Per-question metrics, one :class:`GroupReport` per filter in order;
+    ``comparison`` holds the outcome of an equalized two-group comparison."""
 
     question_id: str
     metric_name: str
-    n_a: int
-    variety_a: float
-    baseline_a: float | None
-    n_b: int | None = None
-    variety_b: float | None = None
-    baseline_b: float | None = None
+    groups: tuple[GroupReport, ...]
     comparison: GroupComparison | None = None
-    resampled_side: str | None = None
+
+    @property
+    def resampled_side(self) -> str | None:
+        """The larger of two groups, "a" or "b" ("b" on a tie): the one whose
+        table entry is a subsample mean with an error bar."""
+        if self.comparison is None:
+            return None
+        a, b = self.groups
+        return "a" if a.respondents > b.respondents else "b"
+
+
+_SIDES = ("a", "b")
+_GROUP_FIELDS = ("respondents", "variety", "baseline")
+_COMPARISON_COLUMNS = (
+    "resampled_side", "resampled_mean", "resampled_std", "trials", "subsample_size"
+)
+# by group count: the table's value and baseline column widths and titles
+_TABLE_LAYOUT = {
+    1: (10, 10, ("value",), ("baseline",)),
+    2: (16, 9, ("group A", "group B"), ("base A", "base B")),
+}
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The rows of one :func:`analyze` run over ``n_groups`` (1 or 2) filters."""
+
     rows: tuple[QuestionReport, ...]
+    n_groups: int
 
     def to_json_dict(self) -> dict[str, Any]:
         out = []
         for r in self.rows:
-            row: dict[str, Any] = {
-                "question_id": r.question_id,
-                "metric": r.metric_name,
-                "respondents_a": r.n_a,
-                "variety_a": r.variety_a,
-                "baseline_a": r.baseline_a,
-            }
-            if r.n_b is not None:
-                row.update(
-                    respondents_b=r.n_b,
-                    variety_b=r.variety_b,
-                    baseline_b=r.baseline_b,
-                    resampled_side=r.resampled_side,
-                    comparison=r.comparison.to_json_dict() if r.comparison else None,
-                )
+            row: dict[str, Any] = {"question_id": r.question_id, "metric": r.metric_name}
+            for side, g in zip(_SIDES, r.groups):
+                row |= {f"{name}_{side}": value for name, value in vars(g).items()}
+            if r.comparison is not None:
+                row.update(resampled_side=r.resampled_side, comparison=r.comparison.to_json_dict())
             out.append(row)
         return {"questions": out}
 
     def to_csv(self) -> str:
-        """CSV text; reals carry 6 significant digits, ids are quoted as needed."""
-        two_group = any(r.n_b is not None for r in self.rows)
+        """CSV text; reals carry 6 significant digits, ids are quoted as needed.
+
+        Group columns are unsuffixed for one group; two groups suffix them
+        ``_a``/``_b`` and add the comparison's columns.
+        """
+        two_group = self.n_groups == 2
+        suffixes = ("_a", "_b") if two_group else ("",)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # with a "\n" terminator csv leaves a bare "\r" unquoted; quote that row whole
         quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(
-            (
-                "question_id", "metric", "respondents_a", "respondents_b",
-                "variety_a", "variety_b", "baseline_a", "baseline_b",
-                "resampled_side", "resampled_mean", "resampled_std",
-                "trials", "subsample_size",
-            )
-            if two_group
-            else ("question_id", "metric", "respondents", "variety", "baseline")
-        )
+        writer.writerow((
+            "question_id", "metric", *(f"{name}{s}" for name in _GROUP_FIELDS for s in suffixes),
+            *(_COMPARISON_COLUMNS if two_group else ()),
+        ))
         for r in self.rows:
-            if two_group:
-                cmp = r.comparison
-                assert cmp is not None and r.variety_b is not None
-                cells = (
-                    r.question_id, r.metric_name, r.n_a, r.n_b,
-                    f"{r.variety_a:.6g}", f"{r.variety_b:.6g}",
-                    _fmt_opt(r.baseline_a), _fmt_opt(r.baseline_b),
-                    r.resampled_side, f"{cmp.group_b_mean:.6g}",
-                    f"{cmp.group_b_std:.6g}", cmp.trials, cmp.subsample_size,
-                )
-            else:
-                cells = (
-                    r.question_id, r.metric_name, r.n_a,
-                    f"{r.variety_a:.6g}", _fmt_opt(r.baseline_a),
-                )
-            (quoted if "\r" in r.question_id else writer).writerow(cells)
+            cells = [r.question_id, r.metric_name,
+                     *(getattr(g, name) for name in _GROUP_FIELDS for g in r.groups)]
+            if (cmp := r.comparison) is not None:
+                cells += (r.resampled_side, cmp.group_b_mean, cmp.group_b_std,
+                          cmp.trials, cmp.subsample_size)
+            (quoted if "\r" in r.question_id else writer).writerow(map(_csv_cell, cells))
         return buf.getvalue()
 
     def to_table(self) -> str:
         """Human-readable table; metric values are scaled by 100.
 
-        The larger group's entries are subsample means with a std; the
-        smaller group's entry is its plain full-sample value.
+        With two groups the larger group's entry is a subsample mean with a
+        std; the smaller group's entry is its plain full-sample value.
         """
-        lines = []
-        two_group = any(r.n_b is not None for r in self.rows)
-        if two_group:
-            lines.append(
-                f"{'question':<14}{'metric':<10}{'group A':>16}{'group B':>16}"
-                f"{'base A':>9}{'base B':>9}"
-            )
-            for r in self.rows:
-                cmp = r.comparison
-                assert cmp is not None
-                cell_a = f"{100 * r.variety_a:.1f}"
-                cell_b = f"{100 * r.variety_b:.1f}"
-                resampled = f"{100 * cmp.group_b_mean:.1f}±{100 * cmp.group_b_std:.1f}"
-                if r.resampled_side == "a":
-                    cell_a = resampled
-                else:
-                    cell_b = resampled
-                lines.append(
-                    f"{r.question_id:<14}{r.metric_name + ' x100':<10}"
-                    f"{cell_a:>16}{cell_b:>16}"
-                    f"{_fmt_x100(r.baseline_a):>9}{_fmt_x100(r.baseline_b):>9}"
-                )
-        else:
-            lines.append(
-                f"{'question':<14}{'metric':<10}{'value':>10}{'baseline':>10}"
-            )
-            for r in self.rows:
-                lines.append(
-                    f"{r.question_id:<14}{r.metric_name + ' x100':<10}"
-                    f"{100 * r.variety_a:>10.1f}{_fmt_x100(r.baseline_a):>10}"
-                )
-        return "\n".join(lines) + "\n"
+        width, base_width, titles, base_titles = _TABLE_LAYOUT[self.n_groups]
+
+        def line(question: str, metric: str, values: Sequence[str], bases: Sequence[str]) -> str:
+            return (f"{question:<14}{metric:<10}" + "".join(f"{v:>{width}}" for v in values)
+                    + "".join(f"{b:>{base_width}}" for b in bases) + "\n")
+
+        lines = [line("question", "metric", titles, base_titles)]
+        for r in self.rows:
+            cmp = r.comparison
+            values = [
+                f"{100 * cmp.group_b_mean:.1f}±{100 * cmp.group_b_std:.1f}"
+                if side == r.resampled_side else f"{100 * g.variety:.1f}"
+                for side, g in zip(_SIDES, r.groups)
+            ]
+            bases = ["" if g.baseline is None else f"{100 * g.baseline:.1f}" for g in r.groups]
+            lines.append(line(r.question_id, r.metric_name + " x100", values, bases))
+        return "".join(lines)
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6g}"
+def _csv_cell(value: Any) -> Any:
+    """A real with 6 significant digits, None as an empty cell, others as they are."""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return "" if value is None else value
 
 
-def _fmt_x100(value: float | None) -> str:
-    return "" if value is None else f"{100 * value:.1f}"
-
-
-def _group_metrics(samples: SampleSet, kind: DivergenceKind) -> tuple[int, float, float | None]:
+def _group_report(samples: SampleSet, kind: DivergenceKind) -> GroupReport:
     """A group's respondent count, variety and, for two choices, baseline."""
     joint = empirical_joint(samples)
     variety = f_variety(joint, kind)
-    return len(samples), variety, baseline(joint) if joint.n_choices == 2 else None
+    return GroupReport(len(samples), variety, baseline(joint) if joint.n_choices == 2 else None)
 
 
 def analyze(
@@ -538,20 +524,15 @@ def analyze(
     """
     if stream is None:
         stream = RandomStream(0)
+    filters = (filter_a,) if filter_b is None else (filter_a, filter_b)
     rows = []
     for qid in question_ids:
-        samples_a = extract_samples(dataset, qid, filter_a)
-        n_a, variety_a, baseline_a = _group_metrics(samples_a, kind)
-        group_b: dict[str, Any] = {}
+        samples = [extract_samples(dataset, qid, f) for f in filters]
+        comparison = None
         if filter_b is not None:
-            samples_b = extract_samples(dataset, qid, filter_b)
-            n_b, variety_b, baseline_b = _group_metrics(samples_b, kind)
-            group_b = dict(
-                n_b=n_b, variety_b=variety_b, baseline_b=baseline_b,
-                comparison=compare_groups_equalized(
-                    samples_a, samples_b, kind, trials=trials, stream=stream.spawn("q", qid)
-                ),
-                resampled_side="a" if n_a > n_b else "b",
+            comparison = compare_groups_equalized(
+                *samples, kind, trials=trials, stream=stream.spawn("q", qid)
             )
-        rows.append(QuestionReport(qid, kind.name, n_a, variety_a, baseline_a, **group_b))
-    return AnalysisReport(rows=tuple(rows))
+        groups = tuple(_group_report(s, kind) for s in samples)
+        rows.append(QuestionReport(qid, kind.name, groups, comparison))
+    return AnalysisReport(tuple(rows), len(filters))

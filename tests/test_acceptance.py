@@ -305,8 +305,8 @@ def test_criterion_8_survey_fixture_end_to_end():
         trials=100,
         stream=RandomStream(7),
     )
-    wins = sum(1 for r in report.rows if r.variety_a > r.variety_b)
-    max_baseline = max(max(r.baseline_a, r.baseline_b) for r in report.rows)
+    wins = sum(1 for r in report.rows if r.groups[0].variety > r.groups[1].variety)
+    max_baseline = max(g.baseline for r in report.rows for g in r.groups)
     check(
         8,
         "expert group's variety beats the novice group's on >= 6/7 questions "

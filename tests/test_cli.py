@@ -52,6 +52,15 @@ class TestCompute:
     def test_unknown_divergence_exits_2(self, joint_path, capsys):
         assert main(["compute", "--joint", joint_path, "--divergence", "js"]) == 2
 
+    def test_unknown_kind_after_a_known_one_prints_no_value(self, joint_path, capsys):
+        # every name is resolved before the first value line
+        assert main(["compute", "--joint", joint_path,
+                     "--divergence", "tvd,bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: unknown divergence 'bogus'")
+
 
 class TestTheoretical:
     def test_preset(self, capsys):
@@ -235,6 +244,24 @@ class TestAnalyze:
             assert row["respondents_a"] == row["respondents_b"] == 300
             assert row["comparison"]["group_b_mean"] == row["variety_b"]
             assert row["comparison"]["group_b_std"] == 0.0
+
+    @pytest.mark.parametrize("fmt, header", [
+        ("csv", "question_id,metric,respondents_a,respondents_b,variety_a,variety_b,"
+                "baseline_a,baseline_b,resampled_side,resampled_mean,resampled_std,"
+                "trials,subsample_size"),
+        ("table", "question      metric             group A         group B   base A   base B"),
+    ], ids=["csv", "table"])
+    def test_header_only_responses_keep_the_two_group_header(
+        self, tmp_path, capsys, fmt, header
+    ):
+        responses = tmp_path / "responses.csv"
+        respondents = tmp_path / "respondents.csv"
+        responses.write_text("respondent_id,question_id,choice,prediction_pct\n")
+        respondents.write_text("respondent_id,watches\nr1,yes\nr2,no\n")
+        assert main(["analyze", "--responses", str(responses),
+                     "--respondents", str(respondents), "--filter", "watches=yes",
+                     "--filter-b", "watches=no", "--format", fmt]) == 0
+        assert capsys.readouterr().out == header + "\n"
 
     def test_unknown_question_exits_2(self, survey_paths, capsys):
         responses, respondents = survey_paths

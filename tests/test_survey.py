@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -242,9 +243,9 @@ class TestAnalyze:
         )
         dataset = load_survey(*paths)
         report = analyze(dataset, ["Q1"], None, kind=TVD)
-        row = report.rows[0]
-        assert row.variety_a == pytest.approx(0.3, abs=1e-12)
-        assert row.baseline_a == pytest.approx(0.3, abs=1e-12)
+        group = report.rows[0].groups[0]
+        assert group.variety == pytest.approx(0.3, abs=1e-12)
+        assert group.baseline == pytest.approx(0.3, abs=1e-12)
         table = report.to_table()
         assert "30.0" in table
         csv_text = report.to_csv()
@@ -304,8 +305,16 @@ class TestAnalyze:
         assert forward.resampled_side == "a"
         assert backward.resampled_side == "b"
         assert forward.comparison == backward.comparison
-        assert forward.variety_a == backward.variety_b
-        assert forward.variety_b == backward.variety_a
+        assert forward.groups[0].variety == backward.groups[1].variety
+        assert forward.groups[1].variety == backward.groups[0].variety
+
+    @pytest.mark.parametrize("writer", ["to_csv", "to_table"])
+    def test_two_group_run_without_rows_keeps_the_two_group_header(self, tiny_survey, writer):
+        dataset = load_survey(*tiny_survey)
+        filters = (RespondentFilter.parse("watches=yes"), RespondentFilter.parse("watches=no"))
+        full = getattr(analyze(dataset, ["Q1"], *filters, trials=5), writer)()
+        empty = getattr(analyze(dataset, [], *filters), writer)()
+        assert empty.splitlines() == full.splitlines()[:1]
 
     @pytest.mark.parametrize("two_group", [False, True])
     def test_csv_quotes_question_ids(self, tmp_path, two_group):
@@ -340,11 +349,37 @@ class TestMultiChoiceQuestions:
         dataset = load_survey(*paths)
         assert dataset.questions[0].options == ("blue", "green", "red")
         report = analyze(dataset, ["Q1"], None, kind=TVD)
-        row = report.rows[0]
-        assert row.baseline_a is None
-        assert row.variety_a >= 0.0
+        group = report.rows[0].groups[0]
+        assert group.baseline is None
+        assert group.variety >= 0.0
         # the metric still renders without a baseline column value
         assert "Q1,tvd,4," in report.to_csv()
+
+    def test_two_group_three_option_question_in_every_format(self, tmp_path):
+        # four "yes" respondents against two "no": group A is resampled
+        rows = [
+            "r1,Q1,red,30", "r2,Q1,green,40", "r3,Q1,blue,30", "r4,Q1,red,60",
+            "r5,Q1,blue,70", "r6,Q1,green,20",
+        ]
+        people = [f"r{i},yes" for i in range(1, 5)] + ["r5,no", "r6,no"]
+        dataset = load_survey(*write_survey(tmp_path, rows, people))
+        report = analyze(
+            dataset, ["Q1"],
+            RespondentFilter.parse("watches=yes"), RespondentFilter.parse("watches=no"),
+            kind=TVD, trials=20, stream=RandomStream(1),
+        )
+        [row] = csv.DictReader(io.StringIO(report.to_csv()))
+        assert (row["baseline_a"], row["baseline_b"]) == ("", "")
+        assert (row["respondents_a"], row["respondents_b"]) == ("4", "2")
+        assert row["resampled_side"] == "a"
+        [record] = report.to_json_dict()["questions"]
+        assert record["baseline_a"] is None and record["baseline_b"] is None
+        assert record["resampled_side"] == "a"
+        _, line = report.to_table().splitlines()
+        # question 14, metric 10, groups 16 each, baselines 9 each
+        assert re.fullmatch(r"\d+\.\d±\d+\.\d", line[24:40].strip())
+        assert re.fullmatch(r"\d+\.\d", line[40:56].strip())
+        assert len(line) == 74 and line[56:].strip() == ""
 
 
 class TestFixtureGenerator:
