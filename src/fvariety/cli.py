@@ -20,16 +20,18 @@ from typing import Sequence
 from .distributions import JointDistribution
 from .divergence import f_variety, get_kind
 from .errors import ConfigError, IoError, VarietyError
+from .estimation import DEFAULT_SUBSAMPLE_TRIALS
 from .experiments import (
     DEFAULT_RATIOS,
     DEFAULT_SAMPLE_SIZES,
+    DEFAULT_TRIALS_PER_POINT,
     SweepConfig,
     run_sweep,
     write_sweep,
 )
 from .sampling import RandomStream
 from .survey import RespondentFilter, analyze, load_survey
-from .synthesis import PopulationModel, _model_varieties, get_preset
+from .synthesis import QUADRATURE_TOL, PopulationModel, _model_varieties, get_preset
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,13 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theoretical", help="model values by quadrature")
     _add_model_options(p)
-    p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=QUADRATURE_TOL, help="quadrature tolerance")
     p.set_defaults(func=_cmd_theoretical)
 
     p = sub.add_parser("simulate", help="ratio/sample-size sweep")
     _add_model_options(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100, help="trials per grid point")
+    p.add_argument(
+        "--trials", type=int, default=DEFAULT_TRIALS_PER_POINT, help="trials per grid point"
+    )
     p.add_argument(
         "--ratios",
         default=",".join(f"{r:g}" for r in DEFAULT_RATIOS),
@@ -193,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None, help='group A filter, e.g. "watch=often"')
     p.add_argument("--filter-b", dest="filter_b", default=None, help="group B filter")
     p.add_argument("--divergence", default="tvd")
-    p.add_argument("--trials", type=int, default=1000, help="subsampling repetitions")
+    p.add_argument(
+        "--trials", type=int, default=DEFAULT_SUBSAMPLE_TRIALS, help="subsampling repetitions"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", default=None, help="output path (default: stdout)")

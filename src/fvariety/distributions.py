@@ -12,6 +12,7 @@ All values are immutable; operations return new objects.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -122,7 +123,7 @@ def mix(
     if np.any(weights < 0.0):
         raise BadWeights(f"negative mixture weight in {weights.tolist()}")
     total = float(weights.sum())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # NaN fails too
         raise BadWeights(f"mixture weights sum to {total!r}, expected 1")
     first = pairs[0][1]
     shape = (first.n_choices, first.n_bins)
@@ -154,7 +155,7 @@ def is_uninformative(dist: JointDistribution, tol: float = _UNINFORMATIVE_TOL) -
     The underlying definition is exact (uniform choices and independence);
     ``tol`` exists because empirical tables carry float round-off.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     projected = uninformative_projection(dist)
     return float(np.max(np.abs(dist.mass - projected.mass))) <= tol

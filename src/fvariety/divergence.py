@@ -61,8 +61,9 @@ class DivergenceKind:
     ndarray (numpy ufunc style).  ``tail`` is lim f(u)/u as u -> inf and
     ``zero_limit`` is lim f(x) as x -> 0+; either may be ``math.inf``.
 
-    Construction runs the registration checks: f(1) = 0 within 1e-12 and
-    numeric convexity on 100 deterministic random triples in (0, 10].
+    Construction runs the registration checks: neither limit is NaN,
+    f(1) = 0 within 1e-12, and numeric convexity on 100 deterministic
+    random triples in (0, 10].  A NaN value fails every check.
     """
 
     name: str
@@ -71,8 +72,13 @@ class DivergenceKind:
     zero_limit: float
 
     def __post_init__(self) -> None:
+        if math.isnan(self.tail) or math.isnan(self.zero_limit):
+            raise InvalidGenerator(
+                f"{self.name}: tail {self.tail!r} and zero_limit "
+                f"{self.zero_limit!r} must not be NaN"
+            )
         at_one = float(np.asarray(self.generator(np.array([1.0])))[0])
-        if abs(at_one) > 1e-12:
+        if not abs(at_one) <= 1e-12:
             raise InvalidGenerator(f"{self.name}: f(1) = {at_one!r}, expected 0")
         rng = np.random.default_rng(1815)
         pts = np.sort(rng.uniform(1e-6, 10.0, size=(100, 3)), axis=1)
@@ -82,7 +88,7 @@ class DivergenceKind:
         f2 = np.asarray(self.generator(x2))
         f3 = np.asarray(self.generator(x3))
         chord = lam * f1 + (1.0 - lam) * f3
-        if np.any(f2 > chord + 1e-9):
+        if not np.all(f2 <= chord + 1e-9):
             worst = float(np.max(f2 - chord))
             raise InvalidGenerator(
                 f"{self.name}: convexity violated by {worst} on a random triple"
@@ -181,7 +187,8 @@ def _variety_stack(mass: np.ndarray, kind: DivergenceKind) -> np.ndarray:
     projected = np.repeat(column, n_choices, axis=-2)
     projected = projected / projected.sum(axis=(-2, -1), keepdims=True)
     values = pointwise_contributions(mass, projected, kind).sum(axis=(-2, -1))
-    assert np.all(np.isfinite(values)), "projection pairing must give finite values"
+    if not np.all(np.isfinite(values)):  # the pairing is finite; the generator was not
+        raise InvalidGenerator(f"{kind.name}: generator gave a non-finite variety")
     return np.where(np.all(mass == mass[..., :1, :], axis=(-2, -1)), 0.0, values)
 
 

@@ -28,6 +28,9 @@ from .sampling import RandomStream
 N_PREDICTION_BINS = 11
 _PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
 
+# Subsamples of the larger group in a comparison, unless asked otherwise.
+DEFAULT_SUBSAMPLE_TRIALS = 1000
+
 # Relative spread below which trial values are one value up to round-off.
 _ROUND_OFF = 1e-12
 
@@ -196,7 +199,7 @@ def compare_groups_equalized(
     group_a: SampleSet,
     group_b: SampleSet,
     kind: DivergenceKind,
-    trials: int = 1000,
+    trials: int = DEFAULT_SUBSAMPLE_TRIALS,
     stream: RandomStream | None = None,
 ) -> GroupComparison:
     """Compare two groups at equal respondent counts.
@@ -217,6 +220,7 @@ def compare_groups_equalized(
     shape_b = (group_b.n_choices, group_b.n_bins)
     if shape_a != shape_b:
         raise ShapeMismatch(f"group shapes {shape_a} and {shape_b} differ")
+    trials = _shape_count("trials", trials)
     if trials < 1:
         raise EmptySampleSet(f"trials must be >= 1, got {trials}")
     if stream is None:

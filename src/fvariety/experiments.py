@@ -18,6 +18,7 @@ from typing import Literal
 
 import numpy as np
 
+from .distributions import _shape_count
 from .divergence import get_kind
 from .errors import ConfigError, IoError
 from .estimation import _count_varieties, _trial_std
@@ -26,6 +27,7 @@ from .synthesis import PopulationModel, _model_varieties
 
 DEFAULT_RATIOS = tuple(k / 10 for k in range(11))
 DEFAULT_SAMPLE_SIZES = (100, 200, 500, 1000)
+DEFAULT_TRIALS_PER_POINT = 100
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class SweepConfig:
     model: PopulationModel
     ratios: tuple[float, ...] = DEFAULT_RATIOS
     sample_sizes: tuple[int, ...] = DEFAULT_SAMPLE_SIZES
-    trials_per_point: int = 100
+    trials_per_point: int = DEFAULT_TRIALS_PER_POINT
     divergences: tuple[str, ...] = ("tvd",)
     base_seed: int = 0
 
@@ -44,16 +46,18 @@ class SweepConfig:
             raise ConfigError("ratios list is empty")
         if any(not 0.0 <= r <= 1.0 for r in self.ratios):
             raise ConfigError(f"ratios must lie in [0, 1], got {self.ratios}")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+        sizes = tuple(_shape_count("sample size", n) for n in self.sample_sizes)
+        if not sizes or any(n < 1 for n in sizes):
             raise ConfigError(f"sample sizes must be >= 1, got {self.sample_sizes}")
-        if self.trials_per_point < 2:
-            raise ConfigError(
-                f"need at least 2 trials for a std, got {self.trials_per_point}"
-            )
+        trials = _shape_count("trials_per_point", self.trials_per_point)
+        if trials < 2:
+            raise ConfigError(f"need at least 2 trials for a std, got {trials}")
         if not self.divergences:
             raise ConfigError("divergences list is empty")
         for name in self.divergences:
             get_kind(name)  # raises on unknown names
+        object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "trials_per_point", trials)
 
 
 @dataclass(frozen=True)

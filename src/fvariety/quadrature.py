@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError, QuadratureFailure
 
 MAX_INTERVALS = 10_000
+# Roots are located to this width; crossings closer than it are one kink.
+ROOT_TOL = 1e-13
 # steps a kink bracket may take beyond what bisection would need
 _SPARE_STEPS = 2
 
@@ -164,7 +166,7 @@ def find_sign_changes(
     lo: float,
     hi: float,
     scan_points: int = 512,
-    tol: float = 1e-13,
+    tol: float = ROOT_TOL,
 ) -> list[float]:
     """Roots of ``func`` in (lo, hi), located by grid scan plus Chandrupatla
     steps.

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import _shape_count
 from .errors import DomainError
 
 
@@ -37,9 +38,13 @@ class RandomStream:
     )
 
     def __post_init__(self) -> None:
-        # SeedSequence takes only non-negative integer entropy
-        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.base_seed!r}")
+        # SeedSequence takes only non-negative integer entropy; Python ints,
+        # since spawn hashes their reprs
+        base_seed = _shape_count("seed", self.base_seed)
+        if base_seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {base_seed!r}")
+        self.base_seed = base_seed
+        self.stream_index = _shape_count("stream_index", self.stream_index)
 
     @property
     def generator(self) -> np.random.Generator:

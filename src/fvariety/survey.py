@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
+    DEFAULT_SUBSAMPLE_TRIALS,
     N_PREDICTION_BINS,
     _PCT_STEP,
     GroupComparison,
@@ -513,7 +514,7 @@ def analyze(
     filter_a: RespondentFilter | None,
     filter_b: RespondentFilter | None = None,
     kind: DivergenceKind = TVD,
-    trials: int = 1000,
+    trials: int = DEFAULT_SUBSAMPLE_TRIALS,
     stream: RandomStream | None = None,
 ) -> AnalysisReport:
     """Score each question for one group, or compare two groups.

@@ -11,13 +11,13 @@ The module provides three views of the same model:
 * ``exact_discretized_joint`` - the infinite-sample limit of those histograms
 * ``continuous_f_variety``    - the un-binned metric, by adaptive quadrature
 
-One ``_continuous_varieties`` call evaluates each quadrature panel's
-densities once, through a memo local to the call, for all the kinds.
-
-``_model_varieties`` stays private although the CLI and the sweep call
-it: it pairs the many-kinds form of ``continuous_f_variety``, the one
-public entry point, with the discretized values, and checks the two
-against each other.
+``_model_varieties`` is the one path from a model to its values, and
+stays private although the CLI and the sweep call it: it computes the
+continuous values of many kinds at once, evaluating each quadrature
+panel's densities once through a memo local to the call, pairs them with
+the discretized values and checks the two against each other.
+``continuous_f_variety``, the one public entry point, is its one-kind
+form.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from .distributions import JointDistribution, _shape_count
 from .divergence import DivergenceKind, f_variety, pointwise_contributions
 from .errors import BadShape, BadWeights, DomainError, QuadratureFailure
 from .estimation import N_PREDICTION_BINS, SampleSet
-from .quadrature import adaptive_quadrature, find_sign_changes
+from .quadrature import ROOT_TOL, adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
 from .special import _beta_pdf_rows, regularized_incomplete_beta
 
-# Kinks are located to this width; crossings closer than it are one kink.
-_KINK_TOL = 1e-13
+# Absolute tolerance of every continuous model value.
+QUADRATURE_TOL = 1e-8
 
 # Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
 _GRID_STEPS = N_PREDICTION_BINS - 1
@@ -227,59 +227,49 @@ def _densities(model: PopulationModel, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return out, total / model.n_choices
 
 
-def _continuous_varieties(
-    model: PopulationModel, kinds: Sequence[DivergenceKind], tol: float = 1e-8
-) -> list[float]:
-    """:func:`continuous_f_variety` of every kind in ``kinds``.
+def _model_varieties(
+    model: PopulationModel, kinds: Sequence[DivergenceKind], tol: float = QUADRATURE_TOL
+) -> tuple[JointDistribution, list[float], list[float]]:
+    """The model's :func:`exact_discretized_joint`, and the continuous and
+    the discretized variety of every kind in ``kinds``.
 
     The kinks do not depend on the kind, so every choice's crossings are
     located in one scan and each kind is integrated against all of them.
     The kinds also refine many of the same panels; each panel's densities
     are computed once per call and shared through a memo keyed by the
     node array's bytes.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
-    if _is_uninformative(model):
-        return [0.0] * len(kinds)
-    roots = np.sort(find_sign_changes(
-        lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0, tol=_KINK_TOL
-    ))
-    # choices that cross the mean at one point (two choices always do) give
-    # roots up to the scan's tolerance apart; one break point serves them
-    # all, where two would add a sliver panel for every kind
-    kinks = roots[np.diff(roots, prepend=-np.inf) > _KINK_TOL].tolist()
-    memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    totals = []
-    for kind in kinds:
-
-        def integrand(x: np.ndarray, kind=kind) -> np.ndarray:
-            key = x.tobytes()
-            if key not in memo:
-                memo[key] = _densities(model, x)
-            dens, mean = memo[key]
-            return pointwise_contributions(dens, mean, kind).sum(axis=0)
-
-        try:
-            totals.append(adaptive_quadrature(integrand, 0.0, 1.0, tol, kinks))
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(f"{kind.name}: {exc}") from None
-    return totals
-
-
-def _model_varieties(
-    model: PopulationModel, kinds: Sequence[DivergenceKind], tol: float = 1e-8
-) -> tuple[JointDistribution, list[float], list[float]]:
-    """The model's :func:`exact_discretized_joint`, and the continuous and
-    the discretized variety of every kind in ``kinds``.
 
     Binning predictions cannot raise an f-divergence (the data-processing
     inequality), so a continuous value more than ``tol`` below its
     discretized one is a quadrature that missed mass, and raises
     :class:`QuadratureFailure` naming the kind.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     joint = exact_discretized_joint(model)
-    conts = _continuous_varieties(model, kinds, tol)
+    conts = [0.0] * len(kinds)
+    if not _is_uninformative(model):
+        roots = np.sort(find_sign_changes(
+            lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0
+        ))
+        # choices that cross the mean at one point (two choices always do)
+        # give roots up to the scan's tolerance apart; one break point
+        # serves them all, where two would add a sliver panel for every kind
+        kinks = roots[np.diff(roots, prepend=-np.inf) > ROOT_TOL].tolist()
+        memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        for i, kind in enumerate(kinds):
+
+            def integrand(x: np.ndarray, kind=kind) -> np.ndarray:
+                key = x.tobytes()
+                if key not in memo:
+                    memo[key] = _densities(model, x)
+                dens, mean = memo[key]
+                return pointwise_contributions(dens, mean, kind).sum(axis=0)
+
+            try:
+                conts[i] = adaptive_quadrature(integrand, 0.0, 1.0, tol, kinks)
+            except QuadratureFailure as exc:
+                raise QuadratureFailure(f"{kind.name}: {exc}") from None
     discs = [f_variety(joint, kind) for kind in kinds]
     for kind, cont, disc in zip(kinds, conts, discs):
         if cont < disc - tol:
@@ -292,7 +282,7 @@ def _model_varieties(
 
 
 def continuous_f_variety(
-    model: PopulationModel, kind: DivergenceKind, tol: float = 1e-8
+    model: PopulationModel, kind: DivergenceKind, tol: float = QUADRATURE_TOL
 ) -> float:
     """Variety of the un-binned model, by adaptive quadrature.
 
@@ -304,9 +294,10 @@ def continuous_f_variety(
     the integrator as break points.
     An uninformative model (all non-experts, or experts with uniform
     choice weights and one shared Beta) scores exactly 0 without
-    quadrature.
+    quadrature.  Binning cannot raise a divergence, so a value more than
+    ``tol`` below the discretized one raises :class:`QuadratureFailure`.
     """
-    return _continuous_varieties(model, (kind,), tol)[0]
+    return _model_varieties(model, (kind,), tol)[1][0]
 
 
 def draw_samples(
@@ -318,6 +309,7 @@ def draw_samples(
     (uniform choice, shared Beta prediction), otherwise an expert (choice
     by weight, per-choice Beta prediction).
     """
+    n = _shape_count("sample size", n)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     rng = stream.generator

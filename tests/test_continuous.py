@@ -40,7 +40,7 @@ from fvariety.cli import main as cli_main
 from fvariety.errors import QuadratureFailure
 from fvariety.quadrature import adaptive_quadrature, find_sign_changes
 from fvariety.special import beta_pdf
-from fvariety.synthesis import _continuous_varieties
+from fvariety.synthesis import _model_varieties
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 KINDS = sorted(BUILTIN_KINDS)
@@ -336,10 +336,20 @@ def test_uniform_weights_with_distinct_shapes_are_informative():
     assert continuous_f_variety(model, BUILTIN_KINDS["tvd"]) > 0.0
 
 
+def test_public_entry_point_refuses_a_value_below_the_discretized():
+    # Beta(1e-300, 2) holds nearly all its mass below any quadrature node:
+    # quadrature reads tvd 0.175 against a discretized 0.347, and binning
+    # cannot raise a divergence
+    model = beta_model(2, (0.5, 0.5), [(1e-300, 2), (2, 2)], 0.3)
+    for name in ("tvd", "kl"):
+        with pytest.raises(QuadratureFailure, match=f"^{name}: continuous value "):
+            continuous_f_variety(model, BUILTIN_KINDS[name])
+
+
 def test_shared_kinks_match_one_kind_calls():
     model = beta_model(3, (0.2, 0.5, 0.3), [(8, 3), (4, 5), (2, 7)], 0.4, noise=(0.8, 2))
     kinds = [BUILTIN_KINDS[name] for name in KINDS]
-    values = _continuous_varieties(model, kinds, 1e-8)
+    values = _model_varieties(model, kinds, 1e-8)[1]
     assert values == [continuous_f_variety(model, kind, 1e-8) for kind in kinds]
 
 
@@ -354,11 +364,11 @@ def test_each_node_array_is_evaluated_once_per_call(monkeypatch):
         return densities(model, x)
 
     monkeypatch.setattr(synthesis, "_densities", recording)
-    together = _continuous_varieties(model, kinds)
+    together = _model_varieties(model, kinds)[1]
     shared_calls = len(seen)
     assert len(set(seen)) == shared_calls
     seen.clear()
-    separate = [_continuous_varieties(model, [kind])[0] for kind in kinds]
+    separate = [_model_varieties(model, [kind])[1][0] for kind in kinds]
     assert shared_calls < len(seen)
     assert together == separate
 
@@ -392,7 +402,7 @@ def test_kink_scan_takes_few_calls(monkeypatch):
 
     monkeypatch.setattr(synthesis, "find_sign_changes", counting_scan)
     for model in SCAN_MODELS:
-        _continuous_varieties(model, [BUILTIN_KINDS["tvd"]])
+        _model_varieties(model, [BUILTIN_KINDS["tvd"]])
     assert len(counts) == len(SCAN_MODELS)
     assert max(counts) <= 12
     assert sum(counts) / len(counts) <= 8
@@ -414,7 +424,7 @@ def test_rows_crossing_together_give_one_break_point(monkeypatch):
         return quad(func, lo, hi, tol, break_points)
 
     monkeypatch.setattr(synthesis, "adaptive_quadrature", recording)
-    _continuous_varieties(model, [BUILTIN_KINDS["tvd"]])
+    _model_varieties(model, [BUILTIN_KINDS["tvd"]])
     (kinks,) = seen
     assert len(roots) == 4 and len(kinks) == 2
     for root in roots:

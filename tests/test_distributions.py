@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,11 @@ class TestMix:
         with pytest.raises(BadWeights):
             mix([])
 
+    def test_nan_weight_is_a_weight_error(self):
+        dist = JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(BadWeights, match="weights sum to nan"):
+            mix([(math.nan, dist)])
+
     def test_shape_mismatch(self):
         a = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         b = JointDistribution(2, 3, np.full((2, 3), 1 / 6))
@@ -171,6 +177,13 @@ class TestIsUninformative:
         dist = JointDistribution(2, 2, [[0.25, 0.25], [0.25, 0.25]])
         with pytest.raises(DomainError):
             is_uninformative(dist, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tol_must_be_finite(self, tol):
+        # an infinite tol would call the diagonal table uninformative
+        dist = JointDistribution(2, 2, [[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            is_uninformative(dist, tol)
 
 
 @settings(max_examples=100, deadline=None)

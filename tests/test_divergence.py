@@ -94,6 +94,23 @@ class TestBuiltinKinds:
         with pytest.raises(InvalidGenerator):
             DivergenceKind("affine", lambda x: x, tail=1.0, zero_limit=0.0)
 
+    def test_nan_generator_rejected(self):
+        # NaN fails every comparison, so a check written as "value > bound"
+        # lets it through
+        with pytest.raises(InvalidGenerator, match=r"^nan: f\(1\) = nan"):
+            DivergenceKind("nan", lambda x: x * np.nan, tail=0.5, zero_limit=0.5)
+
+    def test_generator_nan_away_from_one_rejected(self):
+        with pytest.raises(InvalidGenerator, match="^nan-off-one: convexity"):
+            DivergenceKind(
+                "nan-off-one", lambda x: np.where(x == 1.0, 0.0, np.nan), 0.5, 0.5
+            )
+
+    @pytest.mark.parametrize("limits", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_limit_rejected(self, limits):
+        with pytest.raises(InvalidGenerator, match="^nan-limit: .* must not be NaN"):
+            DivergenceKind("nan-limit", TVD.generator, *limits)
+
 
 class TestFDivergence:
     def test_identity_is_zero(self):
@@ -264,6 +281,19 @@ class TestFVariety:
         assert f_variety(JointDistribution(2, 2, [[1.0, 0.0], [0.0, 0.0]]), TVD) == (
             pytest.approx(0.5, abs=1e-12)
         )
+
+    def test_non_finite_variety_raises_naming_the_kind(self):
+        # registration samples (0, 10]; this generator is NaN beyond 20, and
+        # the table pairs p = 0.01 with a projection cell of 0.25
+        kind = DivergenceKind(
+            "nan-beyond-20",
+            lambda x: np.where(x > 20.0, np.nan, 0.5 * np.abs(x - 1.0)),
+            tail=0.5,
+            zero_limit=0.5,
+        )
+        dist = JointDistribution(2, 2, [[0.01, 0.49], [0.49, 0.01]])
+        with pytest.raises(InvalidGenerator, match="^nan-beyond-20: "):
+            f_variety(dist, kind)
 
     def test_finite_for_all_builtins_on_sparse_tables(self, rng):
         # zero prediction columns pair zeros with zeros, never p>0=q

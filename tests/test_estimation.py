@@ -112,6 +112,13 @@ class TestEmpiricalVariety:
 
 
 class TestCompareGroupsEqualized:
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_trials_must_be_an_integer(self, trials):
+        group_a = sample_set([(0, 2), (1, 3)])
+        group_b = sample_set([(0, 2), (1, 3), (1, 8)])
+        with pytest.raises(BadShape, match="trials must be an integer"):
+            compare_groups_equalized(group_a, group_b, TVD, trials=trials)
+
     def test_identical_equal_size_groups(self):
         samples = sample_set([(0, 2), (0, 6), (1, 3), (1, 8)])
         result = compare_groups_equalized(samples, samples, TVD, trials=20,

@@ -17,7 +17,7 @@ from fvariety import (
     run_sweep,
     write_sweep,
 )
-from fvariety.errors import ConfigError, IoError, InvalidGenerator
+from fvariety.errors import BadShape, ConfigError, IoError, InvalidGenerator
 from fvariety.estimation import _count_varieties
 from fvariety.experiments import (
     CSV_HEADER,
@@ -73,6 +73,27 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(model=get_preset("uniform-1"), trials_per_point=1)
 
+    @pytest.mark.parametrize("sizes", [(100.5,), (True,), (50, 100.0)])
+    def test_sample_sizes_must_be_integers(self, sizes):
+        # numpy's multinomial draws int(100.5) = 100, and the row said 100.5
+        with pytest.raises(BadShape, match="sample size must be an integer"):
+            SweepConfig(model=get_preset("uniform-1"), sample_sizes=sizes)
+
+    @pytest.mark.parametrize("trials", [3.5, 4.0, True])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(BadShape, match="trials_per_point must be an integer"):
+            SweepConfig(model=get_preset("uniform-1"), trials_per_point=trials)
+
+    def test_counts_are_stored_as_python_ints(self):
+        config = SweepConfig(
+            model=get_preset("uniform-1"),
+            sample_sizes=(np.int64(50), 100),
+            trials_per_point=np.int32(3),
+        )
+        assert config.sample_sizes == (50, 100)
+        assert [type(n) for n in config.sample_sizes] == [int, int]
+        assert type(config.trials_per_point) is int
+
     def test_unknown_divergence(self):
         with pytest.raises(InvalidGenerator):
             SweepConfig(model=get_preset("uniform-1"), divergences=("nope",))
@@ -83,6 +104,14 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
+    def test_numpy_integer_seed_runs_the_int_seed_sweep(self):
+        # streams hash the repr of their seed, and numpy writes np.int64(5)
+        small = dict(SMALL, ratios=(0.3,), sample_sizes=(50,), trials_per_point=3)
+        model = get_preset("uniform-1")
+        rows = run_sweep(SweepConfig(model=model, **dict(small, base_seed=5)))
+        again = run_sweep(SweepConfig(model=model, **dict(small, base_seed=np.int64(5))))
+        assert again == rows
+
     def test_default_grid_yields_44_rows(self):
         config = SweepConfig(model=get_preset("uniform-1"), trials_per_point=2)
         assert len(run_sweep(config)) == 11 * 4

@@ -249,11 +249,38 @@ class TestDrawSamples:
         with pytest.raises(DomainError):
             draw_samples(get_preset("uniform-1"), 0, RandomStream(0))
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, True])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(BadShape, match="sample size must be an integer"):
+            draw_samples(get_preset("uniform-1"), n, RandomStream(0))
+
     def test_sample_set_shape(self):
         samples = draw_samples(get_preset("uniform-2"), 50, RandomStream(1))
         assert samples.n_choices == 2
         assert samples.n_bins == N_PREDICTION_BINS
         assert len(samples) == 50
+
+
+class TestRandomStream:
+    def test_numpy_integers_derive_the_int_streams(self):
+        # spawn hashes the repr of the seed, and numpy writes np.int64(5)
+        stream = RandomStream(np.int64(5), np.int64(2))
+        assert (type(stream.base_seed), type(stream.stream_index)) == (int, int)
+        child, reference = stream.spawn("t", 1), RandomStream(5, 2).spawn("t", 1)
+        assert child.stream_index == reference.stream_index
+
+    @pytest.mark.parametrize("seed", [1.5, True, "5"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(BadShape, match="seed must be an integer"):
+            RandomStream(seed)
+
+    def test_stream_index_must_be_an_integer(self):
+        with pytest.raises(BadShape, match="stream_index must be an integer"):
+            RandomStream(0, 2.0)
+
+    def test_negative_seed_keeps_its_error(self):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            RandomStream(-1)
 
 
 class TestThreeChoiceModel:
