@@ -163,14 +163,17 @@ def f_divergence(
     q: Sequence[float] | np.ndarray,
     kind: DivergenceKind,
 ) -> float:
-    """D_f(p, q) for same-length probability vectors; may be +inf."""
+    """D_f(p, q) for same-length probability vectors; may be +inf, never NaN."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise LengthMismatch(f"lengths differ: {p.shape} vs {q.shape}")
     p = _validate_probability(p, "p")
     q = _validate_probability(q, "q")
-    return float(pointwise_contributions(p, q, kind).sum())
+    value = float(pointwise_contributions(p, q, kind).sum())
+    if math.isnan(value):  # the limits are never NaN; the generator was
+        raise InvalidGenerator(f"{kind.name}: generator gave a NaN divergence")
+    return value
 
 
 def _variety_stack(mass: np.ndarray, kind: DivergenceKind) -> np.ndarray:

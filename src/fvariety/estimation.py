@@ -195,6 +195,14 @@ def _subsample_tables(
     return draws.reshape(trials, *table.shape)
 
 
+def _trial_count(trials: Any) -> int:
+    """``trials`` as a Python int; a non-integer or a count below 1 raises."""
+    trials = _shape_count("trials", trials)
+    if trials < 1:
+        raise EmptySampleSet(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def compare_groups_equalized(
     group_a: SampleSet,
     group_b: SampleSet,
@@ -220,9 +228,7 @@ def compare_groups_equalized(
     shape_b = (group_b.n_choices, group_b.n_bins)
     if shape_a != shape_b:
         raise ShapeMismatch(f"group shapes {shape_a} and {shape_b} differ")
-    trials = _shape_count("trials", trials)
-    if trials < 1:
-        raise EmptySampleSet(f"trials must be >= 1, got {trials}")
+    trials = _trial_count(trials)
     if stream is None:
         stream = RandomStream(0)
 

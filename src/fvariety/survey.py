@@ -10,11 +10,12 @@ respondent groups at equal size via without-replacement subsampling.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .estimation import (
     _PCT_STEP,
     GroupComparison,
     SampleSet,
+    _trial_count,
     compare_groups_equalized,
     empirical_joint,
 )
@@ -42,6 +44,17 @@ RESPONSES_HEADER = ("respondent_id", "question_id", "choice", "prediction_pct")
 # Bin codes of prediction_pct texts that are not an integer or off the grid.
 _NOT_AN_INTEGER = -1
 _OFF_GRID = -2
+
+# A factorized column: its distinct texts and each row's index into them.
+_Column = tuple[list[str], np.ndarray]
+
+# What a plain responses file holds: printable ASCII but space and '"', and "\n"
+_PLAIN_BYTES = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
+_WORD = 8  # the longest field of a plain file, in bytes: one uint64
+# _KEEP_BYTES[k] keeps the first k bytes of a big-endian 8-byte word
+_KEEP_BYTES = np.array(
+    [(1 << 64) - (1 << (64 - 8 * k)) for k in range(_WORD + 1)], dtype=np.uint64
+)
 
 
 @dataclass(frozen=True)
@@ -60,8 +73,10 @@ class SurveyDataset:
 
     ``respondents`` holds the ids in file order; ``attributes`` holds one
     object array per side question, aligned with it.  ``responses`` is a
-    read-only ``(rows, 4)`` intp array in file order with columns respondent
-    index, question index, choice index into ``options`` and prediction bin.
+    read-only ``(rows, 4)`` intp array with columns respondent index,
+    question index, choice index into ``options`` and prediction bin.  Its
+    rows are grouped by question in first-appearance order, file order
+    within a question.
     """
 
     questions: tuple[SurveyQuestion, ...]
@@ -151,9 +166,12 @@ def _first_fault(checks: Sequence[np.ndarray]) -> tuple[int, int] | None:
     return divmod(int(np.argmax(failed)), len(checks))
 
 
-def _check_filled(path: str, columns: dict[str, list[str]]) -> None:
+def _check_filled(path: str, columns: dict[str, _Column]) -> None:
     """Reject the first row that leaves one of ``columns`` empty."""
-    first_empty = {name: col.index("") for name, col in columns.items() if "" in col}
+    first_empty = {
+        name: int(np.argmax(codes == values.index("")))
+        for name, (values, codes) in columns.items() if "" in values
+    }
     if first_empty:
         name = min(first_empty, key=first_empty.__getitem__)  # ties: first column
         raise ValidationError(f"{_find_row(path, first_empty[name])[0]}: empty {name}")
@@ -175,51 +193,105 @@ def _load_respondents(path: str) -> tuple[dict[str, int], dict[str, np.ndarray]]
     ids = fields[::width]
     n = len(ids)
     index = {rid: i for i, rid in enumerate(dict.fromkeys(ids))}
+    codes = np.fromiter(map(index.__getitem__, ids), np.intp, n)
     # ids are numbered in first-appearance order, so while rows are unique
     # each row's number is its own index; the first repeat breaks that
-    repeats = np.fromiter(map(index.__getitem__, ids), np.intp, n) != np.arange(n)
-    fault = _first_fault((ragged, repeats))
+    fault = _first_fault((ragged, codes != np.arange(n)))
     if fault is not None:
         row, check = fault
         where, raw = _find_row(path, row)
         if check == 0:
             raise ParseError(f"{where}: expected {width} fields, got {len(raw)}")
         raise ValidationError(f"{where}: duplicate respondent id {ids[row]!r}")
-    _check_filled(path, {"respondent_id": ids})
+    _check_filled(path, {"respondent_id": (list(index), codes)})
     table = np.array(fields, dtype=object).reshape(n, width)
     table.flags.writeable = False
     return index, {name: table[:, i] for i, name in enumerate(header[1:], start=1)}
 
 
-def _load_responses(
-    path: str, respondents: dict[str, int]
-) -> tuple[tuple[SurveyQuestion, ...], np.ndarray]:
-    """Questions in first-appearance order and the ``(rows, 4)`` response codes."""
+def _factorize(texts: Sequence[str]) -> _Column:
+    """A column as its sorted distinct texts and each row's index into them."""
+    values = sorted(set(texts))
+    code = {text: i for i, text in enumerate(values)}
+    return values, np.fromiter(map(code.__getitem__, texts), np.intp, len(texts))
+
+
+def _plain_columns(path: str) -> list[_Column] | None:
+    """The four columns of a plain responses file, factorized; None for any other file.
+
+    A plain file is the exact header line, then lines of four fields of at
+    most 8 bytes, every byte printable ASCII other than space and ``"``, or
+    a comma or newline.  The csv module reads it as the same fields, strip
+    leaves them as they are, and ASCII byte order is ``sorted`` order, so
+    the columns equal :func:`_factorize` over :func:`_read_table`'s fields.
+    Each field is read as one big-endian ``uint64`` of its bytes, zero-padded.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().removeprefix(codecs.BOM_UTF8)
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    head = ",".join(RESPONSES_HEADER).encode() + b"\n"
+    if not text.startswith(head) or text.translate(None, _PLAIN_BYTES):
+        return None
+    data = np.frombuffer(text[len(head):] + bytes(_WORD), dtype=np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    lengths = np.diff(ends, prepend=-1) - 1
+    if (len(ends) % 4 or lengths.max(initial=0) > _WORD
+            or not (data[ends].reshape(-1, 4) == np.frombuffer(b",,,\n", np.uint8)).all()):
+        return None
+    # one overlapping 8-byte window per byte of the padded buffer
+    words = np.ndarray((len(data) - _WORD + 1,), ">u8", data, 0, (1,))
+    fields = (words[ends - lengths] & _KEEP_BYTES[lengths]).reshape(-1, 4)
+    columns = []
+    for keys in fields.T:
+        distinct, codes = np.unique(keys, return_inverse=True)
+        texts = [int(key).to_bytes(_WORD, "big").rstrip(b"\0").decode() for key in distinct]
+        columns.append((texts, codes))
+    return columns
+
+
+def _response_columns(path: str) -> tuple[list[_Column], np.ndarray]:
+    """The responses file's four columns, factorized, and its ragged-row mask."""
+    columns = _plain_columns(path)
+    if columns is not None:
+        return columns, np.zeros(len(columns[0][1]), dtype=bool)
     header, fields, ragged = _read_table(path)
     if tuple(header) != RESPONSES_HEADER:
         raise ParseError(
             f"{path}: header must be {','.join(RESPONSES_HEADER)}, got {','.join(header)}"
         )
-    rids, qids, labels, pct_texts = (fields[i::len(header)] for i in range(len(header)))
-    n = len(rids)
+    return [_factorize(fields[i::len(header)]) for i in range(len(header))], ragged
 
-    # int() runs once per distinct text, so the accepted syntax (sign,
-    # leading zeros, underscores, non-ASCII digits) is Python's, not numpy's
-    bin_of: dict[str, int] = {}
-    for text in set(pct_texts):
-        try:
-            pct = int(text)
-        except ValueError:
-            bin_of[text] = _NOT_AN_INTEGER
-            continue
-        on_grid = 0 <= pct <= 100 and pct % _PCT_STEP == 0
-        bin_of[text] = pct // _PCT_STEP if on_grid else _OFF_GRID
-    bins = np.fromiter(map(bin_of.__getitem__, pct_texts), np.intp, n)
-    people = np.fromiter(map(respondents.get, rids, repeat(-1)), np.intp, n)
-    question_index = {qid: q for q, qid in enumerate(dict.fromkeys(qids))}
-    questions = np.fromiter(map(question_index.__getitem__, qids), np.intp, n)
+
+def _pct_bin(text: str) -> int:
+    """The prediction bin of a prediction_pct text, or a code for its fault.
+
+    The accepted syntax (sign, leading zeros, underscores, non-ASCII
+    digits) is Python's ``int``, not numpy's.
+    """
+    try:
+        pct = int(text)
+    except ValueError:
+        return _NOT_AN_INTEGER
+    return pct // _PCT_STEP if 0 <= pct <= 100 and pct % _PCT_STEP == 0 else _OFF_GRID
+
+
+def _load_responses(
+    path: str, respondents: dict[str, int]
+) -> tuple[tuple[SurveyQuestion, ...], np.ndarray]:
+    """Questions in first-appearance order and the ``(rows, 4)`` response codes,
+    grouped by question."""
+    columns, ragged = _response_columns(path)
+    (rids, rid_codes), (qids, qid_codes), (labels, label_codes), (pcts, pct_codes) = columns
+    n = len(rid_codes)
+    bins = np.array(list(map(_pct_bin, pcts)), dtype=np.intp)[pct_codes]
+    people = np.array([respondents.get(rid, -1) for rid in rids], dtype=np.intp)[rid_codes]
+    first_row = np.full(len(qids), n)
+    np.minimum.at(first_row, qid_codes, np.arange(n))
+    appearance = np.argsort(first_row)  # question codes in first-appearance order
+    questions = np.argsort(appearance)[qid_codes]
     # unknown respondents (-1) key below 0, apart from every known pair
-    pairs = people * len(question_index) + questions
+    pairs = people * len(qids) + questions
     repeated_pair = np.ones(n, dtype=bool)
     repeated_pair[np.unique(pairs, return_index=True)[1]] = False
 
@@ -230,38 +302,40 @@ def _load_responses(
         row, check = fault
         where, raw = _find_row(path, row)
         if check == 0:
-            raise ParseError(f"{where}: expected {len(header)} fields, got {len(raw)}")
+            raise ParseError(
+                f"{where}: expected {len(RESPONSES_HEADER)} fields, got {len(raw)}"
+            )
         if check == 1:
             raise ParseError(
-                f"{where}: prediction_pct {pct_texts[row]!r} is not an integer"
+                f"{where}: prediction_pct {pcts[pct_codes[row]]!r} is not an integer"
             )
         if check == 2:
             raise ValidationError(
                 f"{where}: prediction_pct must be one of 0,{_PCT_STEP},...,100, "
-                f"got {int(pct_texts[row])}"
+                f"got {int(pcts[pct_codes[row]])}"
             )
         if check == 3:
-            raise ValidationError(f"{where}: unknown respondent {rids[row]!r}")
+            raise ValidationError(f"{where}: unknown respondent {rids[rid_codes[row]]!r}")
         raise ValidationError(
-            f"{where}: duplicate answer by {rids[row]!r} to {qids[row]!r}"
+            f"{where}: duplicate answer by {rids[rid_codes[row]]!r} "
+            f"to {qids[qid_codes[row]]!r}"
         )
-    _check_filled(path, {"question_id": qids, "choice": labels})
+    _check_filled(path, {"question_id": (qids, qid_codes), "choice": (labels, label_codes)})
 
-    # Rank every label once.  The distinct (question, label rank) keys then
-    # sort by question, then label: each question's options are one run of
-    # them, and a row's choice code is its key's offset within that run.
-    names = sorted(set(labels))
-    rank = {label: i for i, label in enumerate(names)}
-    label_ranks = np.fromiter(map(rank.__getitem__, labels), np.intp, n)
-    keys, key_of_row = np.unique(questions * len(names) + label_ranks, return_inverse=True)
-    n_options = np.bincount(keys // len(names), minlength=len(question_index))
+    # Label codes rank the labels.  The distinct (question, label code) keys
+    # then sort by question, then label: each question's options are one run
+    # of them, and a row's choice code is its key's offset within that run.
+    keys, key_of_row = np.unique(questions * len(labels) + label_codes, return_inverse=True)
+    n_options = np.bincount(keys // len(labels), minlength=len(qids))
     run_start = np.cumsum(n_options) - n_options
-    options = [names[i] for i in keys % len(names)]
-    responses = np.column_stack((people, questions, key_of_row - run_start[questions], bins))
+    options = [labels[i] for i in keys % len(labels)]
+    codes = np.stack((people, questions, key_of_row - run_start[questions], bins), axis=1)
+    # a stable sort groups the rows by question and keeps file order within one
+    responses = codes.take(np.argsort(questions, kind="stable"), axis=0)
     responses.flags.writeable = False
     return tuple(
-        SurveyQuestion(qid, tuple(options[start:start + count]))
-        for qid, start, count in zip(question_index, run_start, n_options)
+        SurveyQuestion(qids[code], tuple(options[start:start + count]))
+        for code, start, count in zip(appearance, run_start, n_options)
     ), responses
 
 
@@ -363,7 +437,8 @@ def extract_samples(
     """
     question = dataset.question(question_id)
     responses = dataset.responses
-    rows = responses[responses[:, 1] == dataset.questions.index(question)]
+    q = dataset.questions.index(question)
+    rows = responses[slice(*np.searchsorted(responses[:, 1], (q, q + 1)))]
     if respondent_filter is not None:
         respondent_filter.validate_against(dataset)
         rows = rows[respondent_filter.matches(dataset.attributes)[rows[:, 0]]]
@@ -521,8 +596,10 @@ def analyze(
 
     With ``filter_b`` present the two groups are compared at equal
     respondent counts (see :func:`compare_groups_equalized`); the error
-    bar lands on whichever group is larger for that question.
+    bar lands on whichever group is larger for that question.  ``trials``
+    is checked for one group too.
     """
+    trials = _trial_count(trials)
     if stream is None:
         stream = RandomStream(0)
     filters = (filter_a,) if filter_b is None else (filter_a, filter_b)

@@ -34,6 +34,14 @@ from fvariety.errors import (
 
 from conftest import random_joint, random_uninformative_joint
 
+# registration samples (0, 10]; this generator is NaN beyond 20
+NAN_BEYOND_20 = DivergenceKind(
+    "nan-beyond-20",
+    lambda x: np.where(x > 20.0, np.nan, 0.5 * np.abs(x - 1.0)),
+    tail=0.5,
+    zero_limit=0.5,
+)
+
 ALL_KINDS = (TVD, KL, PEARSON, HELLINGER)
 
 
@@ -283,17 +291,17 @@ class TestFVariety:
         )
 
     def test_non_finite_variety_raises_naming_the_kind(self):
-        # registration samples (0, 10]; this generator is NaN beyond 20, and
         # the table pairs p = 0.01 with a projection cell of 0.25
-        kind = DivergenceKind(
-            "nan-beyond-20",
-            lambda x: np.where(x > 20.0, np.nan, 0.5 * np.abs(x - 1.0)),
-            tail=0.5,
-            zero_limit=0.5,
-        )
         dist = JointDistribution(2, 2, [[0.01, 0.49], [0.49, 0.01]])
         with pytest.raises(InvalidGenerator, match="^nan-beyond-20: "):
-            f_variety(dist, kind)
+            f_variety(dist, NAN_BEYOND_20)
+
+    def test_nan_divergence_raises_naming_the_kind(self):
+        # the same ratio q / p = 50 in a plain divergence
+        with pytest.raises(InvalidGenerator, match="^nan-beyond-20: "):
+            f_divergence([0.01, 0.99], [0.5, 0.5], NAN_BEYOND_20)
+        # an infinite divergence is a value, not a fault
+        assert f_divergence([0.5, 0.5], [0.0, 1.0], KL) == math.inf
 
     def test_finite_for_all_builtins_on_sparse_tables(self, rng):
         # zero prediction columns pair zeros with zeros, never p>0=q

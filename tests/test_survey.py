@@ -3,6 +3,7 @@ import io
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from fvariety import (
     load_survey,
 )
 from fvariety.errors import (
+    BadShape,
     EmptyGroup,
+    EmptySampleSet,
     ParseError,
     UnknownQuestion,
     ValidationError,
 )
+from fvariety import survey
 from fvariety.fixtures import generate_two_group_survey
 
 
@@ -308,6 +312,20 @@ class TestAnalyze:
         assert forward.groups[0].variety == backward.groups[1].variety
         assert forward.groups[1].variety == backward.groups[0].variety
 
+    @pytest.mark.parametrize("trials, error, text", [
+        (2.5, BadShape, "trials must be an integer, got 2.5"),
+        (True, BadShape, "trials must be an integer, got True"),
+        (-3, EmptySampleSet, "trials must be >= 1, got -3"),
+    ])
+    @pytest.mark.parametrize("two_group", [False, True])
+    def test_trials_are_checked_for_one_group_and_for_two(
+        self, tiny_survey, trials, error, text, two_group
+    ):
+        dataset = load_survey(*tiny_survey)
+        filters = (RespondentFilter.parse("watches=yes"), RespondentFilter.parse("watches=no"))
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            analyze(dataset, ["Q1"], *filters[:1 + two_group], trials=trials)
+
     @pytest.mark.parametrize("writer", ["to_csv", "to_table"])
     def test_two_group_run_without_rows_keeps_the_two_group_header(self, tiny_survey, writer):
         dataset = load_survey(*tiny_survey)
@@ -557,8 +575,9 @@ def reference_load_survey(responses_path, respondents_path):
     This is the row-loop loader that the column-at-a-time ``load_survey``
     replaced: every row is checked in file order, and within a row the
     checks run as field count, integer percent, 10 % grid, known
-    respondent, new (respondent, question) pair.  The generated files
-    below are valid UTF-8, so the decode path is left out.
+    respondent, new (respondent, question) pair; empty ids and labels are
+    checked after every row.  The generated files below are valid UTF-8,
+    so the decode path is left out.
     """
     header, rows = _reference_read_rows(respondents_path)
     if not header or header[0] != "respondent_id":
@@ -580,6 +599,9 @@ def reference_load_survey(responses_path, respondents_path):
             )
         respondents[rid] = len(respondents)
         values.append([value.strip() for value in row[1:]])
+    for ln, row in rows:  # empty fields are checked after every other fault
+        if not row[0].strip():
+            raise ValidationError(f"{respondents_path}:{ln}: empty respondent_id")
     table = np.array(values, dtype=object).reshape(len(values), len(attr_names))
 
     header, rows = _reference_read_rows(responses_path)
@@ -615,6 +637,10 @@ def reference_load_survey(responses_path, respondents_path):
         q = question_index.setdefault(qid, len(question_index))
         codes += (respondents[rid], q, 0, pct // 10)
         labels.append(choice)
+    for ln, row in rows:
+        for name, text in (("question_id", row[1]), ("choice", row[2])):
+            if not text.strip():
+                raise ValidationError(f"{responses_path}:{ln}: empty {name}")
     responses = np.array(codes, dtype=np.intp).reshape(-1, 4)
     choices = np.array(labels, dtype=object)
     questions = []
@@ -696,15 +722,8 @@ def _load_outcome(loader, paths):
         return type(exc), str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(survey_files())
-def test_load_survey_matches_row_loop_reference(files):
-    with tempfile.TemporaryDirectory() as root:
-        paths = [str(Path(root) / name) for name in ("responses.csv", "respondents.csv")]
-        for path, body in zip(paths, files):
-            Path(path).write_text(body, encoding="utf-8")
-        want = _load_outcome(reference_load_survey, paths)
-        got = _load_outcome(load_survey, paths)
+def _assert_same_outcome(got, want):
+    """``load_survey``'s outcome equals the reference's, rows grouped by question."""
     if isinstance(got, tuple):
         assert got == want
         return
@@ -714,4 +733,142 @@ def test_load_survey_matches_row_loop_reference(files):
                for v in got.attributes.values())
     questions = tuple((q.question_id, q.options) for q in got.questions)
     attributes = {name: v.tolist() for name, v in got.attributes.items()}
-    assert (questions, got.respondents, attributes, got.responses.tolist()) == want
+    # rows come grouped by question, file order within a question
+    *head, rows = want
+    assert (questions, got.respondents, attributes, got.responses.tolist()) == (
+        *head, sorted(rows, key=lambda row: row[1])
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(survey_files())
+def test_load_survey_matches_row_loop_reference(files):
+    with tempfile.TemporaryDirectory() as root:
+        paths = [str(Path(root) / name) for name in ("responses.csv", "respondents.csv")]
+        for path, body in zip(paths, files):
+            Path(path).write_text(body, encoding="utf-8")
+        want = _load_outcome(reference_load_survey, paths)
+        got = _load_outcome(load_survey, paths)
+    _assert_same_outcome(got, want)
+
+
+PLAIN_PCTS = [str(10 * i) for i in range(11)] + ["+10", "010", "1_0"]
+PLAIN_FAULTS = st.sampled_from(["ghost", "duplicate", "pct", "empty"])
+# each takes a file one step outside the byte path's rule; None keeps it plain
+OUTSIDE_STEPS = st.sampled_from(
+    [None] * 8 + ["long", "space", "tab", "quote", "crlf", "non-ascii", "blank", "ragged"]
+)
+
+
+@st.composite
+def plain_survey_files(draw):
+    """(responses.csv text, respondents.csv text, whether the first is plain).
+
+    A plain file passes the byte path's rule: printable ASCII other than
+    space and ``"``, four fields a line, no blank line, data fields of at
+    most 8 bytes.  Faults that the loaders report still occur in it.
+    """
+    ids = [f"r{i}" for i in range(draw(st.integers(1, 4)))]
+    people = "respondent_id,watch\n" + "".join(f"{rid},often\n" for rid in ids)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(["Q1", "Q2", "Q10"])),
+        unique=True, max_size=10,
+    ))
+    rows = [[rid, qid, draw(st.sampled_from(["A", "B", "ab", "x"])),
+             draw(st.sampled_from(PLAIN_PCTS))] for rid, qid in pairs]
+    for fault in draw(st.lists(PLAIN_FAULTS, max_size=2)):
+        row = ["r0", "Q1", "A", "50"]
+        if fault == "ghost":
+            row[0] = "ghost"
+        elif fault == "duplicate" and rows:
+            row[:2] = draw(st.sampled_from(rows))[:2]
+        elif fault == "pct":
+            row[3] = draw(st.sampled_from(["55", "-10", "110", "x"]))
+        elif fault == "empty":
+            row[draw(st.integers(0, 3))] = ""
+        rows.insert(draw(st.integers(0, len(rows))), row)
+
+    step = draw(OUTSIDE_STEPS)
+    if step is not None:  # at least two rows to take the step on
+        rows += [["r0", "Q1", "A", "50"] for _ in range(2 - len(rows))]
+        row, col = draw(st.sampled_from(rows)), draw(st.integers(0, 3))
+    if step == "long":  # 9 bytes, and valid
+        row[2:] = draw(st.sampled_from([["ninebytes", "50"], ["A", "000000010"]]))
+    elif step in ("space", "tab"):
+        pad = " " if step == "space" else "\t"
+        row[col] = draw(st.sampled_from([pad + row[col], row[col] + pad]))
+    elif step == "quote":
+        row[col] = f'"{row[col]}"'
+    elif step == "non-ascii":
+        row[2] = "é"
+    elif step == "ragged":
+        # a short row and a long one keep the file's field count a multiple of 4
+        shape = draw(st.sampled_from(["short", "long", "both"]))
+        if shape != "long":
+            row.pop()
+        if shape != "short":
+            rows[-1 if row is rows[0] else 0].append("x")
+    lines = [",".join(survey.RESPONSES_HEADER)] + [",".join(row) for row in rows]
+    if step == "blank":  # four blank lines keep the field count a multiple of 4
+        blank = draw(st.sampled_from(["", "\n\n\n"]))
+        lines.insert(draw(st.integers(1, len(lines) - 1)), blank)
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    if step == "crlf":
+        text = text.replace("\n", "\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + text, people, step is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_survey_files())
+def test_plain_files_load_as_the_row_loop_reference_does(files):
+    *bodies, plain = files
+    read_as_csv = []
+    read_table = survey._read_table
+
+    def spy(path):
+        read_as_csv.append(Path(path).name)
+        return read_table(path)
+
+    with tempfile.TemporaryDirectory() as root:
+        paths = [str(Path(root) / name) for name in ("responses.csv", "respondents.csv")]
+        for path, body in zip(paths, bodies):
+            Path(path).write_bytes(body.encode("utf-8"))
+        want = _load_outcome(reference_load_survey, paths)
+        with mock.patch.object(survey, "_read_table", spy):
+            got = _load_outcome(load_survey, paths)
+    # a plain file never reaches the csv reader; one step outside always does
+    assert ("responses.csv" in read_as_csv) is not plain
+    _assert_same_outcome(got, want)
+
+
+def _survey_scan_shaped(root):
+    """Paths of a small survey shaped as the survey-scan benchmark's input."""
+    rng = np.random.default_rng(7)
+    ids = [f"R{i:05d}" for i in range(60)]
+    people = "".join(f"{rid},{rng.choice(['often', 'rarely'])}\n" for rid in ids)
+    answers = "".join(
+        f"{rid},Q{j:02d},{'ABCD'[rng.integers(4)]},{10 * rng.integers(11)}\n"
+        for rid in ids for j in range(1, 41) if rng.random() > 0.05
+    )
+    (root / "responses.csv").write_text(",".join(survey.RESPONSES_HEADER) + "\n" + answers)
+    (root / "respondents.csv").write_text("respondent_id,watches_sports\n" + people)
+    return str(root / "responses.csv"), str(root / "respondents.csv")
+
+
+@pytest.mark.parametrize("source", ["fixture", "survey-scan"])
+def test_plain_files_skip_the_csv_reader(tmp_path, monkeypatch, source):
+    if source == "fixture":
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "athletes_like"
+        paths = str(fixture / "responses.csv"), str(fixture / "respondents.csv")
+    else:
+        paths = _survey_scan_shaped(tmp_path)
+    want = reference_load_survey(*paths)
+    read_table = survey._read_table
+
+    def respondents_only(path):
+        if Path(path).name == "responses.csv":
+            raise AssertionError(f"{path} went to the csv reader")
+        return read_table(path)
+
+    monkeypatch.setattr(survey, "_read_table", respondents_only)
+    _assert_same_outcome(load_survey(*paths), want)
