@@ -2,8 +2,9 @@
 
 The total-variation integrands contain |.| terms whose derivative jumps
 where the two densities cross; plain smooth-rule error estimates stall
-there.  Callers locate the crossings (see :func:`find_sign_changes`) and
-pass them as break points so every panel sees a smooth integrand.
+there.  Callers locate the crossings with :func:`find_sign_changes`, a
+grid scan repeated inside each bracket it finds, and pass them as break
+points so every panel sees a smooth integrand.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .errors import DomainError, QuadratureFailure
 MAX_INTERVALS = 10_000
 # Roots are located to this width; crossings closer than it are one kink.
 ROOT_TOL = 1e-13
-# steps a kink bracket may take beyond what bisection would need
-_SPARE_STEPS = 2
+# cells a kink bracket is cut into on each func call: 2**7, so on a dyadic
+# bracket they fall where seven bisection steps would
+_SPLIT = 128
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK constants).
 _KRONROD_NODES = np.array([
@@ -144,23 +146,6 @@ def adaptive_quadrature(
     return total
 
 
-def _chandrupatla_t(
-    x1: np.ndarray, x2: np.ndarray, x3: np.ndarray,
-    f1: np.ndarray, f2: np.ndarray, f3: np.ndarray,
-) -> np.ndarray:
-    """Where the next point goes on [x1, x2], as a fraction t of the way
-    from x1: inverse quadratic interpolation through the three points where
-    Chandrupatla's test finds it safe, 0.5 (the midpoint) elsewhere."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        xi = (x1 - x2) / (x3 - x2)
-        phi = (f1 - f2) / (f3 - f2)
-        alpha = (x3 - x1) / (x2 - x1)
-        t = (f1 / (f1 - f2) * f3 / (f3 - f2)
-             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
-        safe = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)) & np.isfinite(t)
-    return np.where(safe, t, 0.5)
-
-
 def find_sign_changes(
     func: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -168,8 +153,8 @@ def find_sign_changes(
     scan_points: int = 512,
     tol: float = ROOT_TOL,
 ) -> list[float]:
-    """Roots of ``func`` in (lo, hi), located by grid scan plus Chandrupatla
-    steps.
+    """Roots of ``func`` in (lo, hi), located by a grid scan that is then
+    repeated inside each bracket it finds.
 
     ``func`` returns one row of values per curve; a 1-D result is one curve.
     Only sign changes on the scan grid are found; that is enough to break
@@ -178,19 +163,13 @@ def find_sign_changes(
     value (say inf - inf where a density is infinite at an endpoint)
     carries no sign, so its cells are skipped.
 
-    Each bracket shrinks until it is at most ``tol`` wide or a point lands
-    on an exact zero, and its root is the midpoint of the final bracket.
-    The points are Chandrupatla's (1997): inverse quadratic interpolation
-    where that is safe, the midpoint otherwise, never closer than
-    ``tol / 2`` to either end of the bracket.  Each bracket also gets a
-    budget of ``_SPARE_STEPS`` steps more than bisection would take, and
-    every point is kept close enough to the midpoint that the budget is
-    met (the projection of the ITP method, Oliveira and Takahashi 2020): a
-    multiple root, where interpolation creeps, costs at most that many
-    steps more than bisection, and one more where rounding widens the
-    midpoints.  All brackets step together, one ``func`` call per step on
-    the brackets still open, each reading its own row; roots come back
-    row by row.
+    Each bracket is cut into ``_SPLIT`` equal cells; the first cut point
+    whose value leaves the sign of the bracket's left end (an exact zero
+    does) ends the new bracket.  That repeats until the bracket is at most
+    ``tol`` wide, lands on a zero, or cannot be cut because its ends are
+    adjacent floats; its root is its midpoint.  All brackets share one
+    ``func`` call a round, each reading its own row; roots come back row
+    by row.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -204,43 +183,29 @@ def find_sign_changes(
     bracketed = np.sign(y0) * np.sign(y1) < 0.0
 
     rows, cells = np.nonzero(bracketed)
-    # x1 is the newest point, [x1, x2] (either order) the bracket and x3 the
-    # point last dropped from it; t places the next point on [x1, x2]
-    x1, f1 = xs[cells], y0[rows, cells]
-    x2, f2 = xs[cells + 1], y1[rows, cells]
-    x3, f3 = x2.copy(), f2.copy()
-    t = np.full(len(rows), 0.5)
-    width = np.abs(x2 - x1)
-    steps_left = np.ceil(np.log2(width / tol)) + _SPARE_STEPS
-    active = np.flatnonzero(width > tol)
-    while len(active):
-        xt = x1[active] + t[active] * (x2[active] - x1[active])
-        ft = np.atleast_2d(np.asarray(func(xt), dtype=np.float64))
-        ft = ft[rows[active], np.arange(len(active))]
-        # a point on x1's side replaces x1; otherwise x1 becomes the far
-        # end.  Signs are compared, not multiplied: the product of two tiny
-        # values underflows to 0
-        same = (ft < 0.0) == (f1[active] < 0.0)
-        keep, flip = active[same], active[~same]
-        x3[keep], f3[keep] = x1[keep], f1[keep]
-        x3[flip], f3[flip] = x2[flip], f2[flip]
-        x2[flip], f2[flip] = x1[flip], f1[flip]
-        x1[active], f1[active] = xt, ft
-        hit = ft == 0.0
-        x2[active[hit]] = xt[hit]
-        width[active] = np.abs(x2[active] - x1[active])
-        steps_left[active] -= 1
-        active = active[~hit & (width[active] > tol)]
-
-        w = width[active]
-        step = _chandrupatla_t(x1[active], x2[active], x3[active],
-                               f1[active], f2[active], f3[active])
-        margin = 0.5 * tol / w
-        # within reach of the midpoint, the next bracket is at most
-        # tol * 2**(steps_left - 1) wide
-        reach = np.maximum(0.5 * (tol * 2.0 ** steps_left[active] - w), 0.0) / w
-        t[active] = np.clip(np.clip(step, margin, 1.0 - margin), 0.5 - reach, 0.5 + reach)
+    a, b = xs[cells], xs[cells + 1]
+    sign = np.sign(y0[rows, cells])
+    fractions = np.arange(_SPLIT + 1) / _SPLIT
+    active = np.arange(len(rows))
+    while True:
+        # a bracket closes at most tol wide, on an exact zero (its ends
+        # equal) or with adjacent floats for ends
+        left, right = a[active], b[active]
+        cuttable = (right - left > tol) & (np.nextafter(left, right) < right)
+        active, left, right = active[cuttable], left[cuttable], right[cuttable]
+        if not len(active):
+            break
+        n = np.arange(len(active))
+        cuts = left[:, None] + (right - left)[:, None] * fractions
+        cuts[:, -1] = right
+        fc = np.atleast_2d(np.asarray(func(cuts[:, 1:-1].ravel()), dtype=np.float64))
+        # each bracket's own row, then its right end, which always leaves
+        fc = fc.reshape(len(fc), len(active), _SPLIT - 1)[rows[active], n]
+        fc = np.column_stack([fc, -sign[active]])
+        k = np.argmax(np.sign(fc) != sign[active, None], axis=1)
+        a[active] = np.where(fc[n, k] == 0.0, cuts[n, k + 1], cuts[n, k])
+        b[active] = cuts[n, k + 1]
 
     roots = np.broadcast_to(xs[:-1], y0.shape).copy()
-    roots[rows, cells] = 0.5 * (x1 + x2)
+    roots[rows, cells] = 0.5 * (a + b)
     return roots[on_grid | bracketed].tolist()

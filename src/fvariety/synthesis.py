@@ -253,8 +253,9 @@ def _model_varieties(
             lambda x: np.subtract(*_densities(model, x)), 0.0, 1.0
         ))
         # choices that cross the mean at one point (two choices always do)
-        # give roots up to the scan's tolerance apart; one break point
-        # serves them all, where two would add a sliver panel for every kind
+        # mostly get one root, but rounding can set them a cut apart, up to
+        # the scan's tolerance; one break point serves them all, where two
+        # would add a sliver panel for every kind
         kinks = roots[np.diff(roots, prepend=-np.inf) > ROOT_TOL].tolist()
         memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         for i, kind in enumerate(kinds):
@@ -289,9 +290,10 @@ def continuous_f_variety(
     Integrates the choice-summed divergence contribution between each
     choice's joint density and the uninformative mixture density.  The
     |.|-type generators kink where those densities cross, so the
-    crossings are located first, each to within 1e-13 by Chandrupatla
-    steps (:func:`~fvariety.quadrature.find_sign_changes`), and passed to
-    the integrator as break points.
+    crossings are located first, each to within 1e-13 by a grid scan
+    repeated inside each bracket it finds
+    (:func:`~fvariety.quadrature.find_sign_changes`), and passed to the
+    integrator as break points.
     An uninformative model (all non-experts, or experts with uniform
     choice weights and one shared Beta) scores exactly 0 without
     quadrature.  Binning cannot raise a divergence, so a value more than

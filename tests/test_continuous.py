@@ -1,10 +1,13 @@
-"""The continuous-model layer: the vectorized kink scan with Chandrupatla
-steps, kinks shared across kinds, exact zeros on uninformative models, and
-accuracy against an independent QUADPACK oracle.
+"""The continuous-model layer: the vectorized kink scan, kinks shared across
+kinds, exact zeros on uninformative models, and accuracy against an
+independent QUADPACK oracle.
 
 The scan keeps the contract of a scalar scan-and-bisect loop: the same
 brackets in the same order, each closed to at most ``tol`` wide (or onto an
-exact zero) with its midpoint as the root, in far fewer ``func`` calls.
+exact zero) with its midpoint as the root, in far fewer ``func`` calls.  It
+cuts each bracket into 128 cells a call, so on the dyadic cells of a grid
+over [0, 1] it visits bisection's points, and on the density gaps of the
+golden models it returns bisection's roots to the bit.
 
 ``tests/golden/theoretical_tvd_kl_pearson_hellinger.json`` holds
 ``variety theoretical`` stdout; every ``continuous`` value in it must lie
@@ -205,6 +208,32 @@ def test_theoretical_matches_golden(case, tmp_path, capsys):
         "theoretical", "--model", str(path), "--divergence", "tvd,kl,pearson,hellinger",
     ]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+GOLDEN_MODELS = [PopulationModel.from_json_dict(case["model"]) for case in GOLDEN_CASES]
+INFORMATIVE_GOLDEN = [
+    i for i, model in enumerate(GOLDEN_MODELS) if not synthesis._is_uninformative(model)
+]
+
+
+@pytest.mark.parametrize(
+    "index", INFORMATIVE_GOLDEN, ids=[f"model{i}" for i in INFORMATIVE_GOLDEN]
+)
+def test_density_gap_roots_equal_bisection(index):
+    # the 512-cell grid and the cuts of its cells are dyadic, so the scan
+    # closes each bracket where bisection does, to the bit
+    model = GOLDEN_MODELS[index]
+
+    def gaps(x):
+        return np.subtract(*synthesis._densities(model, x))
+
+    with np.errstate(invalid="ignore"):
+        expected = [
+            root
+            for row in range(model.n_choices)
+            for _, root in reference_find_sign_changes(lambda x: gaps(x)[row], 0.0, 1.0)
+        ]
+    assert find_sign_changes(gaps, 0.0, 1.0) == expected
 
 
 # The oracle below shares no code with fvariety: densities from math.lgamma,

@@ -198,8 +198,25 @@ class TestFindSignChanges:
         assert len(roots) == 1
         assert abs(roots[0] - 0.3) <= 1e-13
 
+    @pytest.mark.parametrize("step, tol", [(0.9, 1e-17), (1 / 3, 1e-300)])
+    def test_tol_below_float_spacing_stops_at_adjacent_floats(self, step, tol):
+        # no bracket around the step can get narrower than the float
+        # spacing there, which is wider than tol
+        calls = []
+
+        def func(x):
+            calls.append(len(x))
+            if len(calls) > 100:
+                raise RuntimeError("the scan does not terminate")
+            return np.where(x < step, -1.0, 1.0)
+
+        roots = find_sign_changes(func, 0.0, 1.0, tol=tol)
+        assert len(roots) == 1
+        assert abs(roots[0] - step) <= 2.0 ** -52
+
     @pytest.mark.parametrize("tol", [0.0, -1e-13, math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
-        # the step budget needs a finite positive tol: 0 would make it 0 * inf
+        # a NaN or infinite tol would close every bracket unscanned, and 0
+        # or less asks for more than floats can resolve
         with pytest.raises(DomainError):
             find_sign_changes(lambda x: x - 0.37, 0.0, 1.0, tol=tol)
