@@ -38,6 +38,7 @@ from .special import _beta_pdf_rows, regularized_incomplete_beta
 
 # Absolute tolerance of every continuous model value.
 QUADRATURE_TOL = 1e-8
+_SMALLEST_SUBNORMAL = math.ulp(0.0)
 
 # Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
 _GRID_STEPS = N_PREDICTION_BINS - 1
@@ -217,14 +218,20 @@ def _is_uninformative(model: PopulationModel) -> bool:
 
 def _densities(model: PopulationModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint densities of (choice=c, prediction=x) as a (C, len(x)) array,
-    and their mean over choices, the uninformative mixture density."""
+    and their mean over choices, the uninformative mixture density.
+
+    The mean is at least every density over C, so it is positive wherever
+    one is.  A positive total below C times the smallest subnormal would
+    round its mean to 0 and read as mass the mixture lacks (an infinite KL
+    term); such a mean is raised to the smallest subnormal instead."""
     x = np.asarray(x, dtype=np.float64)
     shapes = (*model.expert_prediction, model.nonexpert_prediction)
     out = _choice_rows(model, _beta_pdf_rows(x, [(p.alpha, p.beta) for p in shapes]))
     total = np.zeros(len(x))
     for row in out:  # summed in choice order
         total += row
-    return out, total / model.n_choices
+    mean = total / model.n_choices
+    return out, np.where(total > 0.0, np.maximum(mean, _SMALLEST_SUBNORMAL), mean)
 
 
 def _model_varieties(

@@ -523,3 +523,22 @@ def test_theoretical_is_finite_and_bounds_the_discretized_value(tmp_path_factory
     assert all(math.isfinite(v) for v in values.values())
     for kind in KINDS:
         assert values[kind, "continuous"] >= values[kind, "discretized"] - ORACLE_TOL
+
+
+def test_mean_density_stays_positive_where_a_choice_density_underflows():
+    # near x = 0.998 the first choice's density is the smallest subnormal and
+    # the second's is 0; their mean used to round to 0, read as p > 0 = q,
+    # and kl exited 2 on a non-finite panel
+    model = {
+        "n_choices": 2,
+        "expert_weights": [0.7066950526114237, 0.29330494738857626],
+        "expert_beta": [[math.exp(0.125), math.exp(4.796875)], [1.0, math.exp(5.0)]],
+        "nonexpert_beta": [1.0, 1.0],
+        "nonexpert_ratio": 0.0,
+    }
+    # continuous_f_variety raises if a value falls below the discretized one
+    for kind_name in KINDS:
+        value = continuous_f_variety(
+            PopulationModel.from_json_dict(model), BUILTIN_KINDS[kind_name]
+        )
+        assert math.isfinite(value), kind_name
