@@ -63,6 +63,8 @@ class DomainError(InputError):
 class QuadratureFailure(VarietyError):
     """Adaptive integration could not reach the requested tolerance."""
 
+    row = 0  # the failing integrand row of a many-row quadrature
+
 
 # --- estimation and experiments -------------------------------------------
 

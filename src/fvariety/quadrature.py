@@ -5,6 +5,13 @@ where the two densities cross; plain smooth-rule error estimates stall
 there.  Callers locate the crossings with :func:`find_sign_changes`, a
 grid scan repeated inside each bracket it finds, and pass them as break
 points so every panel sees a smooth integrand.
+
+Both functions take a ``func`` that returns one row of values per curve.
+:func:`adaptive_quadrature` refines its rows in lockstep: each row keeps
+its own panels and splits them in the order it would alone, so its value
+is the same to the bit, while each round's new panels of all rows share
+one ``func`` call.  Several integrands over the same densities (one per
+divergence kind) then pay for the densities once per round.
 """
 
 from __future__ import annotations
@@ -71,18 +78,20 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-def _panel(func: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    """One GK15 panel: (integral estimate, error estimate).
+def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"interval [{lo}, {hi}] must be finite and non-empty")
+
+
+def _panel(y: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+    """One GK15 panel from the integrand's values on its nodes: (integral
+    estimate, error estimate).
 
     Raises :class:`QuadratureFailure` when either is not finite, e.g. when
     a node of a tiny end panel rounds onto an endpoint where the integrand
     is infinite.
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * _KRONROD_NODES
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # checked below
-        y = np.asarray(func(x), dtype=np.float64)
     kronrod = half * float(_KRONROD_WEIGHTS @ y)
     gauss = half * float(_GAUSS_WEIGHTS @ y[1::2])
     err = abs(kronrod - gauss)
@@ -100,50 +109,93 @@ def adaptive_quadrature(
     tol: float,
     break_points: Sequence[float] = (),
     max_intervals: int = MAX_INTERVALS,
-) -> float:
-    """Integrate ``func`` over [lo, hi] to absolute tolerance ``tol``.
+) -> float | list[float]:
+    """Integrate every row of ``func`` over [lo, hi] to absolute tolerance
+    ``tol``.
 
-    ``func`` maps an ndarray of abscissae to an ndarray of values and is
-    never called at the endpoints.  ``break_points`` inside the interval
-    pre-split the panels.  Raises :class:`QuadratureFailure` when the
-    interval budget runs out before the tolerance is met, or when a panel
-    sum or its error estimate is not finite.
+    ``func`` maps an ndarray of abscissae to one row of values per
+    integrand, shaped (rows, len(x)), and is never called at the
+    endpoints.  A 1-D result is one integrand, and its integral comes back
+    as a float; otherwise a list of floats comes back, one per row.
+    ``break_points`` inside the interval pre-split the panels.
+
+    Each row keeps its own heap, total and error sum and refines exactly
+    as it would alone, with its own ``max_intervals`` budget.  The rows
+    move in lockstep: each round, every row still above ``tol`` splits its
+    largest-error panel, and the nodes of all the children not evaluated
+    before go to ``func`` in one call.
+
+    Raises :class:`QuadratureFailure` when a row's budget runs out before
+    the tolerance is met, or when a panel sum or its error estimate is not
+    finite.  A failing row stops itself and the rows after it; the rows
+    before it go on, and the error raised is the first failing row's, with
+    that row as its ``row``.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    if hi <= lo:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
+    _check_interval(lo, hi)
     edges = [lo] + sorted(p for p in set(break_points) if lo < p < hi) + [hi]
+    initial = list(zip(edges[:-1], edges[1:]))
+    blocks: dict[tuple[float, float], np.ndarray] = {}  # panel -> (rows, 15) values
 
-    # heap of (-error, counter, lo, hi, value); counter breaks ties deterministically
-    heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        value, err = _panel(func, a, b)
-        heapq.heappush(heap, (-err, counter, a, b, value))
-        counter += 1
-        total += value
-        total_err += err
+    def evaluate(panels: list[tuple[float, float]]) -> np.ndarray | None:
+        """Fill ``blocks`` for the panels not evaluated yet, in one ``func``
+        call, and return its result (None when there was nothing new)."""
+        new = [p for p in dict.fromkeys(panels) if p not in blocks]
+        if not new:
+            return None
+        a, b = np.array(new).T
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        x = (mid[:, None] + half[:, None] * _KRONROD_NODES).ravel()
+        y = np.asarray(func(x), dtype=np.float64)
+        blocks.update(zip(new, y.reshape(-1, len(new), _KRONROD_NODES.size).swapaxes(0, 1)))
+        return y
 
-    while total_err > tol:
-        if counter >= max_intervals:
-            raise QuadratureFailure(
-                f"tolerance {tol} not reached within {max_intervals} intervals "
-                f"(error estimate {total_err})"
-            )
-        neg_err, _, a, b, value = heapq.heappop(heap)
-        total -= value
-        total_err += neg_err  # neg_err is -err
-        mid = 0.5 * (a + b)
-        for left, right in ((a, mid), (mid, b)):
-            v, e = _panel(func, left, right)
-            heapq.heappush(heap, (-e, counter, left, right, v))
-            counter += 1
-            total += v
-            total_err += e
-    return total
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # checked per panel
+        one_row = evaluate(initial).ndim == 1
+        rows = len(blocks[initial[0]])
+        # per row: a heap of (-error, counter, lo, hi, value), where the
+        # counter breaks ties deterministically; that counter; total; error sum
+        heaps: list[list[tuple[float, int, float, float, float]]] = [[] for _ in range(rows)]
+        counts = [0] * rows
+        totals = [0.0] * rows
+        errors = [0.0] * rows
+        failure: QuadratureFailure | None = None
+        live = rows  # the rows below it still refine
+        children = dict.fromkeys(range(rows), initial)
+        while children:
+            evaluate([p for panels in children.values() for p in panels])
+            for k, panels in children.items():
+                if k >= live:
+                    break
+                try:
+                    for a, b in panels:
+                        value, err = _panel(blocks[a, b][k], a, b)
+                        heapq.heappush(heaps[k], (-err, counts[k], a, b, value))
+                        counts[k] += 1
+                        totals[k] += value
+                        errors[k] += err
+                except QuadratureFailure as exc:
+                    failure, live = exc, k
+            children = {}
+            for k in range(live):
+                if not errors[k] > tol:
+                    continue
+                if counts[k] >= max_intervals:
+                    failure, live = QuadratureFailure(
+                        f"tolerance {tol} not reached within {max_intervals} intervals "
+                        f"(error estimate {errors[k]})"
+                    ), k
+                    break
+                neg_err, _, a, b, value = heapq.heappop(heaps[k])
+                totals[k] -= value
+                errors[k] += neg_err  # neg_err is -err
+                mid = 0.5 * (a + b)
+                children[k] = [(a, mid), (mid, b)]
+    if failure is not None:
+        failure.row = live
+        raise failure
+    return totals[0] if one_row else totals
 
 
 def find_sign_changes(
@@ -161,7 +213,10 @@ def find_sign_changes(
     integrands at density crossings, where missing a doubly-crossing sliver
     costs accuracy the adaptive refinement recovers anyway.  A NaN scan
     value (say inf - inf where a density is infinite at an endpoint)
-    carries no sign, so its cells are skipped.
+    carries no sign, so its cells are skipped.  A grid point where the
+    value is exactly 0 is a root when neither grid neighbour is 0 too; a
+    run of exact zeros (say a density gap whose terms are below each
+    other's rounding) is flat, not a crossing.
 
     Each bracket is cut into ``_SPLIT`` equal cells; the first cut point
     whose value leaves the sign of the bracket's left end (an exact zero
@@ -173,11 +228,18 @@ def find_sign_changes(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    _check_interval(lo, hi)
+    if scan_points < 1:
+        raise DomainError(f"scan_points must be at least 1, got {scan_points}")
     xs = np.linspace(lo, hi, scan_points + 1)
     with np.errstate(invalid="ignore", over="ignore"):
         ys = np.atleast_2d(np.asarray(func(xs), dtype=np.float64))
     y0, y1 = ys[:, :-1], ys[:, 1:]
-    on_grid = (y0 == 0.0) & (xs[:-1] > lo) & (xs[:-1] < hi)
+    # an interior zero between two non-zero neighbours; inside a run of
+    # exact zeros (terms below each other's rounding) the curve is flat
+    zero = ys == 0.0
+    on_grid = np.zeros_like(zero[:, 1:])
+    on_grid[:, 1:] = zero[:, 1:-1] & ~zero[:, :-2] & ~zero[:, 2:]
     # signs, not the product: two tiny values multiply to 0; a NaN or a 0
     # at either end brackets nothing
     bracketed = np.sign(y0) * np.sign(y1) < 0.0

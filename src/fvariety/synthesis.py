@@ -13,9 +13,10 @@ The module provides three views of the same model:
 
 ``_model_varieties`` is the one path from a model to its values, and
 stays private although the CLI and the sweep call it: it computes the
-continuous values of many kinds at once, evaluating each quadrature
-panel's densities once through a memo local to the call, pairs them with
-the discretized values and checks the two against each other.
+continuous values of many kinds at once, as the rows of one lockstep
+quadrature whose integrand computes the densities once per call and
+scores every kind on them, pairs them with the discretized values and
+checks the two against each other.
 ``continuous_f_variety``, the one public entry point, is its one-kind
 form.
 """
@@ -241,10 +242,10 @@ def _model_varieties(
     the discretized variety of every kind in ``kinds``.
 
     The kinks do not depend on the kind, so every choice's crossings are
-    located in one scan and each kind is integrated against all of them.
-    The kinds also refine many of the same panels; each panel's densities
-    are computed once per call and shared through a memo keyed by the
-    node array's bytes.
+    located in one scan and every kind is integrated against all of them.
+    The kinds are the rows of one lockstep quadrature: each integrand call
+    computes the densities on its nodes once and scores every kind on
+    them, and each kind refines its own panels exactly as it would alone.
 
     Binning predictions cannot raise an f-divergence (the data-processing
     inequality), so a continuous value more than ``tol`` below its
@@ -264,20 +265,17 @@ def _model_varieties(
         # the scan's tolerance; one break point serves them all, where two
         # would add a sliver panel for every kind
         kinks = roots[np.diff(roots, prepend=-np.inf) > ROOT_TOL].tolist()
-        memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        for i, kind in enumerate(kinds):
 
-            def integrand(x: np.ndarray, kind=kind) -> np.ndarray:
-                key = x.tobytes()
-                if key not in memo:
-                    memo[key] = _densities(model, x)
-                dens, mean = memo[key]
-                return pointwise_contributions(dens, mean, kind).sum(axis=0)
+        def integrand(x: np.ndarray) -> np.ndarray:
+            dens, mean = _densities(model, x)
+            return np.stack([
+                pointwise_contributions(dens, mean, kind).sum(axis=0) for kind in kinds
+            ])
 
-            try:
-                conts[i] = adaptive_quadrature(integrand, 0.0, 1.0, tol, kinks)
-            except QuadratureFailure as exc:
-                raise QuadratureFailure(f"{kind.name}: {exc}") from None
+        try:
+            conts = adaptive_quadrature(integrand, 0.0, 1.0, tol, kinks)
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(f"{kinds[exc.row].name}: {exc}") from None
     discs = [f_variety(joint, kind) for kind in kinds]
     for kind, cont, disc in zip(kinds, conts, discs):
         if cont < disc - tol:

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as scipy_special
 
 from fvariety.errors import DomainError, QuadratureFailure
-from fvariety.quadrature import adaptive_quadrature, find_sign_changes
+from fvariety.quadrature import MAX_INTERVALS, adaptive_quadrature, find_sign_changes
 from fvariety.special import _beta_pdf_rows, beta_pdf, log_beta, regularized_incomplete_beta
 
 
@@ -138,6 +141,11 @@ class TestBetaPdf:
         assert log_beta(2, 3) == pytest.approx(math.log(1 / 12), abs=1e-14)
 
 
+BAD_INTERVALS = [
+    (1.0, 0.0), (0.5, 0.5), (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan),
+]
+
+
 class TestAdaptiveQuadrature:
     def test_polynomial_exact(self):
         value = adaptive_quadrature(lambda x: x**2, 0.0, 1.0, tol=1e-12)
@@ -174,6 +182,134 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(lambda x: x, 0.0, 1.0, tol=0.0)
         with pytest.raises(DomainError):
             adaptive_quadrature(lambda x: x, 1.0, 0.0, tol=1e-8)
+
+    @pytest.mark.parametrize("lo, hi", BAD_INTERVALS)
+    def test_bad_interval_is_refused(self, lo, hi):
+        with pytest.raises(DomainError):
+            adaptive_quadrature(lambda x: x, lo, hi, tol=1e-8)
+
+
+# Integrand terms built from correctly rounded operations only, so each
+# value depends on its abscissa alone, whatever array it is evaluated in.
+TERMS = {
+    "kink": lambda a, r: lambda x: a * np.abs(x - r),
+    "cusp": lambda a, r: lambda x: a * np.sqrt(np.abs(x - r)),
+    "peak": lambda a, r: lambda x: a / ((x - r) * (x - r) + 1e-4),
+    "cubic": lambda a, r: lambda x: a * (x - r) * (x - r) * (x - r),
+    "pole": lambda a, r: lambda x: np.where(x > r, np.inf, a),  # not finite past r
+}
+
+
+@st.composite
+def integrands(draw):
+    """A sum of one to three terms."""
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(TERMS)), st.floats(-3.0, 3.0), st.floats(0.0, 1.0)),
+        min_size=1, max_size=3,
+    ))
+    parts = [TERMS[name](a, r) for name, a, r in terms]
+
+    def func(x):
+        y = parts[0](x)
+        for part in parts[1:]:
+            y = y + part(x)
+        return y
+
+    return func
+
+
+def outcome(func, *args, **kwargs):
+    """The quadrature's value, or the QuadratureFailure it raised."""
+    try:
+        return adaptive_quadrature(func, *args, **kwargs)
+    except QuadratureFailure as exc:
+        return exc
+
+
+def stacked(funcs):
+    return lambda x: np.stack([f(x) for f in funcs])
+
+
+class TestLockstepRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(integrands(), min_size=1, max_size=4),
+        st.sampled_from([1e-3, 1e-7, 1e-11]),
+        st.sampled_from([8, 50, 400]),
+        st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    def test_rows_equal_one_row_calls(self, funcs, tol, max_intervals, break_points):
+        # every row refines as it would alone; the first failing row's
+        # error is raised, naming its row
+        args = (0.0, 1.0, tol, break_points, max_intervals)
+        alone = [outcome(f, *args) for f in funcs]
+        together = outcome(stacked(funcs), *args)
+        failed = [i for i, r in enumerate(alone) if isinstance(r, QuadratureFailure)]
+        if failed:
+            assert isinstance(together, QuadratureFailure)
+            assert together.row == failed[0]
+            assert str(together) == str(alone[failed[0]])
+        else:
+            assert all(type(v) is float for v in alone + together)
+            assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+    @pytest.mark.parametrize("late_failure, max_intervals", [
+        # runs out of intervals
+        (lambda x: np.sin(1000.0 * x), 8),
+        # finite on [0, 1]'s nodes, not on those of a panel near 1
+        (lambda x: np.where(x > 0.999, np.inf, np.sin(1000.0 * x)), MAX_INTERVALS),
+    ], ids=["budget", "non-finite"])
+    def test_lower_row_failing_later_wins(self, late_failure, max_intervals):
+        # row 1 is infinite on its first panel; row 0 fails rounds later,
+        # and its error is the one raised
+        rows = [late_failure, lambda x: np.full_like(x, np.inf)]
+        args = (0.0, 1.0, 1e-15, (), max_intervals)
+        assert str(outcome(rows[1], *args)) == "integrand is not finite on the panel [0.0, 1.0]"
+        late = outcome(rows[0], *args)
+        assert isinstance(late, QuadratureFailure) and str(late) != str(outcome(rows[1], *args))
+        failure = outcome(stacked(rows), *args)
+        assert (failure.row, str(failure)) == (0, str(late))
+        swapped = outcome(stacked(rows[::-1]), *args)
+        assert (swapped.row, str(swapped)) == (0, str(outcome(rows[1], *args)))
+
+    def test_interval_budget_is_per_row(self):
+        funcs = [lambda x: np.abs(x - 1 / 3), lambda x: 2.0 * np.abs(x - 0.7)]
+
+        def fewest_intervals(f):
+            return next(
+                n for n in itertools.count(1)
+                if not isinstance(outcome(f, 0.0, 1.0, 1e-9, max_intervals=n), QuadratureFailure)
+            )
+
+        needs = [fewest_intervals(f) for f in funcs]
+        budget = max(needs)  # a shared budget would need their sum
+        values = adaptive_quadrature(stacked(funcs), 0.0, 1.0, 1e-9, max_intervals=budget)
+        assert values == [adaptive_quadrature(f, 0.0, 1.0, 1e-9) for f in funcs]
+        failure = outcome(stacked(funcs), 0.0, 1.0, 1e-9, max_intervals=budget - 1)
+        assert failure.row == needs.index(budget)
+
+    def test_each_round_is_one_call_and_no_panel_is_evaluated_twice(self):
+        funcs = [lambda x: np.abs(x - 1 / 3), lambda x: np.sqrt(np.abs(x - 0.7))]
+
+        def recorded(func):
+            calls = []
+
+            def wrapper(x):
+                calls.append(x.reshape(-1, 15))  # one row of nodes per panel
+                return func(x)
+
+            return wrapper, calls
+
+        together, calls = recorded(stacked(funcs))
+        adaptive_quadrature(together, 0.0, 1.0, 1e-9, [0.5])
+        rounds = 0
+        for f in funcs:
+            alone, alone_calls = recorded(f)
+            adaptive_quadrature(alone, 0.0, 1.0, 1e-9, [0.5])
+            rounds = max(rounds, len(alone_calls))
+        assert len(calls) <= rounds
+        panels = np.concatenate(calls)
+        assert len(np.unique(panels, axis=0)) == len(panels)
 
 
 class TestFindSignChanges:
@@ -213,6 +349,25 @@ class TestFindSignChanges:
         roots = find_sign_changes(func, 0.0, 1.0, tol=tol)
         assert len(roots) == 1
         assert abs(roots[0] - step) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("lo, hi", BAD_INTERVALS)
+    def test_bad_interval_is_refused(self, lo, hi):
+        # a reversed interval used to scan [hi, lo] and return its roots
+        with pytest.raises(DomainError):
+            find_sign_changes(lambda x: x - 0.3, lo, hi)
+
+    @pytest.mark.parametrize("scan_points", [0, -4])
+    def test_scan_points_below_one_are_refused(self, scan_points):
+        with pytest.raises(DomainError):
+            find_sign_changes(lambda x: x - 0.3, 0.0, 1.0, scan_points)
+
+    def test_isolated_zero_is_a_root_and_a_run_of_zeros_is_not(self):
+        # on the grid of eighths the curve is 0 at 1/2 between values of
+        # opposite sign, and at 3/4, 7/8 and 1 in a flat run
+        def func(x):
+            return np.where(x > 0.7, 0.0, (x - 0.5) * (x + 1.0))
+
+        assert find_sign_changes(func, 0.0, 1.0, scan_points=8) == [0.5]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-13, math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):
