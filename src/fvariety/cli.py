@@ -118,7 +118,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         question_ids,
         filter_a,
         filter_b,
-        kind=get_kind(args.divergence),
+        kinds=[get_kind(name) for name in _comma_list(args.divergence, "--divergence", "kind")],
         trials=args.trials,
         stream=RandomStream(args.seed),
     )
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--questions", default=None, help="comma-separated question ids (default: all)")
     p.add_argument("--filter", default=None, help='group A filter, e.g. "watch=often"')
     p.add_argument("--filter-b", dest="filter_b", default=None, help="group B filter")
-    p.add_argument("--divergence", default="tvd")
+    p.add_argument("--divergence", default="tvd", help="comma-separated kind names")
     p.add_argument(
         "--trials", type=int, default=DEFAULT_SUBSAMPLE_TRIALS, help="subsampling repetitions"
     )

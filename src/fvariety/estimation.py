@@ -7,15 +7,16 @@ subsampled without replacement down to the smaller group's respondent
 count, which removes sample-size effects from the metric and puts the
 error bar on exactly one side.
 
-``_count_varieties`` and ``_trial_std`` stay private although the sweep
-in :mod:`fvariety.experiments` calls them: they score raw count stacks
-that only the sweep and the group comparison draw.
+Every count table that the sweep and the survey analysis score is
+counted or drawn here (``_sample_tables``, ``_subsample_tables``) and
+scored here (``_count_varieties``, ``_group_varieties``, ``_trial_std``).
+These stay private: they work on raw count stacks only those callers hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -178,6 +179,21 @@ class GroupComparison:
         }
 
 
+def _sample_tables(
+    mass: np.ndarray, n: int, trials: int, stream: RandomStream
+) -> np.ndarray:
+    """``(trials, C, B)`` count tables of ``trials`` samples of n respondents.
+
+    ``mass`` is the model's :func:`exact_discretized_joint`.  Respondents
+    are drawn iid and then binned, so the count table of
+    :func:`draw_samples` is Multinomial(n, mass): all trials are one call
+    on ``stream``.
+    """
+    p = mass.ravel()
+    draws = stream.generator.multinomial(n, p / p.sum(), size=trials)
+    return draws.reshape(trials, *mass.shape)
+
+
 def _subsample_tables(
     table: np.ndarray, size: int, trials: int, stream: RandomStream
 ) -> np.ndarray:
@@ -201,6 +217,32 @@ def _trial_count(trials: Any) -> int:
     if trials < 1:
         raise EmptySampleSet(f"trials must be >= 1, got {trials}")
     return trials
+
+
+def _group_varieties(
+    tables: np.ndarray, kinds: Sequence[DivergenceKind], trials: int, stream: RandomStream
+) -> list[tuple[np.ndarray, GroupComparison | None]]:
+    """Per kind: each group's full-sample variety in a ``(G, C, B)`` count
+    stack and, for two groups, their comparison (see
+    :func:`compare_groups_equalized`).  The larger group's subsample
+    tables are drawn once, on ``stream``, and every kind scores them.
+    """
+    fulls = [_count_varieties(tables, kind) for kind in kinds]
+    if len(tables) == 1:
+        return [(full, None) for full in fulls]
+    size_a, size_b = tables.sum(axis=(1, 2)).tolist()
+    small, large = (0, 1) if size_a <= size_b else (1, 0)
+    size = min(size_a, size_b)
+    if size_a == size_b:  # every subsample would be the whole second group
+        stats = [(float(full[large]), 0.0) for full in fulls]
+    else:
+        subsamples = _subsample_tables(tables[large], size, trials, stream)
+        trial_values = (_count_varieties(subsamples, kind) for kind in kinds)
+        stats = [(float(values.mean()), _trial_std(values)) for values in trial_values]
+    return [
+        (full, GroupComparison(kind.name, float(full[small]), mean, std, trials, size))
+        for kind, full, (mean, std) in zip(kinds, fulls, stats)
+    ]
 
 
 def compare_groups_equalized(
@@ -232,22 +274,6 @@ def compare_groups_equalized(
     if stream is None:
         stream = RandomStream(0)
 
-    size_a, size_b = len(group_a), len(group_b)
-    small, large = (group_a, group_b) if size_a <= size_b else (group_b, group_a)
-
-    size = min(size_a, size_b)
-    once = empirical_f_variety(small, kind)
-    if size_a == size_b:
-        mean, std = empirical_f_variety(large, kind), 0.0
-    else:
-        tables = _subsample_tables(large.count_table(), size, trials, stream)
-        values = _count_varieties(tables, kind)
-        mean, std = float(values.mean()), _trial_std(values)
-    return GroupComparison(
-        metric_name=kind.name,
-        group_a_value=once,
-        group_b_mean=mean,
-        group_b_std=std,
-        trials=trials,
-        subsample_size=size,
-    )
+    tables = np.stack([group_a.count_table(), group_b.count_table()])
+    [(_, comparison)] = _group_varieties(tables, [kind], trials, stream)
+    return comparison

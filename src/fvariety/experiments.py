@@ -1,9 +1,10 @@
 """Ratio-and-sample-size sweeps with plot-ready tables.
 
 For every (non-expert ratio, sample size) grid point the sweep draws
-``trials_per_point`` independent count tables, scores them with every
-requested divergence, records the mean and std of each kind's empirical
-variety, and attaches the two theoretical values (continuous-model
+``trials_per_point`` independent count tables through
+:mod:`fvariety.estimation`, which holds every table draw, scores them with
+every requested divergence, records the mean and std of each kind's
+empirical variety, and attaches the two theoretical values (continuous-model
 quadrature and exact discretized joint).  The whole grid runs in one
 process.  A point's tables come from one stream derived from (base_seed,
 ratio index, n), so results are identical across runs, and adding
@@ -16,12 +17,10 @@ import json
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .distributions import _shape_count
 from .divergence import get_kind
 from .errors import ConfigError, IoError
-from .estimation import _count_varieties, _trial_std
+from .estimation import _count_varieties, _sample_tables, _trial_std
 from .sampling import RandomStream
 from .synthesis import PopulationModel, _model_varieties
 
@@ -69,21 +68,6 @@ class SweepRow:
     empirical_std: float
     theoretical_continuous: float
     theoretical_discretized: float
-
-
-def _sample_tables(
-    mass: np.ndarray, n: int, trials: int, stream: RandomStream
-) -> np.ndarray:
-    """``(trials, C, B)`` count tables of ``trials`` samples of n respondents.
-
-    ``mass`` is the model's :func:`exact_discretized_joint`.  Respondents
-    are drawn iid and then binned, so the count table of
-    :func:`draw_samples` is Multinomial(n, mass): all trials are one call
-    on ``stream``.
-    """
-    p = mass.ravel()
-    draws = stream.generator.multinomial(n, p / p.sum(), size=trials)
-    return draws.reshape(trials, *mass.shape)
 
 
 def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:

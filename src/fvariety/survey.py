@@ -20,8 +20,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .divergence import DivergenceKind, TVD, baseline, f_variety
+from .divergence import DivergenceKind, TVD, baseline
 from .errors import (
+    ConfigError,
     EmptyGroup,
     ParseError,
     UnknownQuestion,
@@ -33,8 +34,8 @@ from .estimation import (
     _PCT_STEP,
     GroupComparison,
     SampleSet,
+    _group_varieties,
     _trial_count,
-    compare_groups_equalized,
     empirical_joint,
 )
 from .sampling import RandomStream
@@ -494,10 +495,11 @@ _GROUP_FIELDS = ("respondents", "variety", "baseline")
 _COMPARISON_COLUMNS = (
     "resampled_side", "resampled_mean", "resampled_std", "trials", "subsample_size"
 )
-# by group count: the table's value and baseline column widths and titles
-_TABLE_LAYOUT = {
-    1: (10, 10, ("value",), ("baseline",)),
-    2: (16, 9, ("group A", "group B"), ("base A", "base B")),
+# by group count: each table column's title and least width
+_TABLE_COLUMNS = {
+    1: (("question", 14), ("metric", 10), ("value", 10), ("baseline", 10)),
+    2: (("question", 14), ("metric", 10), ("group A", 16), ("group B", 16),
+        ("base A", 9), ("base B", 9)),
 }
 
 
@@ -550,13 +552,8 @@ class AnalysisReport:
         With two groups the larger group's entry is a subsample mean with a
         std; the smaller group's entry is its plain full-sample value.
         """
-        width, base_width, titles, base_titles = _TABLE_LAYOUT[self.n_groups]
-
-        def line(question: str, metric: str, values: Sequence[str], bases: Sequence[str]) -> str:
-            return (f"{question:<14}{metric:<10}" + "".join(f"{v:>{width}}" for v in values)
-                    + "".join(f"{b:>{base_width}}" for b in bases) + "\n")
-
-        lines = [line("question", "metric", titles, base_titles)]
+        titles, least_widths = zip(*_TABLE_COLUMNS[self.n_groups])
+        cells = [titles]
         for r in self.rows:
             cmp = r.comparison
             values = [
@@ -565,8 +562,14 @@ class AnalysisReport:
                 for side, g in zip(_SIDES, r.groups)
             ]
             bases = ["" if g.baseline is None else f"{100 * g.baseline:.1f}" for g in r.groups]
-            lines.append(line(r.question_id, r.metric_name + " x100", values, bases))
-        return "".join(lines)
+            cells.append((r.question_id, r.metric_name + " x100", *values, *bases))
+        widths = [max(least, 1 + max(len(row[i]) for row in cells))
+                  for i, least in enumerate(least_widths)]
+        return "".join(
+            f"{row[0]:<{widths[0]}}{row[1]:<{widths[1]}}"
+            + "".join(f"{cell:>{width}}" for cell, width in zip(row[2:], widths[2:])) + "\n"
+            for row in cells
+        )
 
 
 def _csv_cell(value: Any) -> Any:
@@ -576,41 +579,37 @@ def _csv_cell(value: Any) -> Any:
     return "" if value is None else value
 
 
-def _group_report(samples: SampleSet, kind: DivergenceKind) -> GroupReport:
-    """A group's respondent count, variety and, for two choices, baseline."""
-    joint = empirical_joint(samples)
-    variety = f_variety(joint, kind)
-    return GroupReport(len(samples), variety, baseline(joint) if joint.n_choices == 2 else None)
-
-
 def analyze(
     dataset: SurveyDataset,
     question_ids: Sequence[str],
     filter_a: RespondentFilter | None,
     filter_b: RespondentFilter | None = None,
-    kind: DivergenceKind = TVD,
+    kinds: Sequence[DivergenceKind] = (TVD,),
     trials: int = DEFAULT_SUBSAMPLE_TRIALS,
     stream: RandomStream | None = None,
 ) -> AnalysisReport:
-    """Score each question for one group, or compare two groups.
+    """Score each question for one group, or compare two groups, with every kind.
 
     With ``filter_b`` present the two groups are compared at equal
     respondent counts (see :func:`compare_groups_equalized`); the error
-    bar lands on whichever group is larger for that question.  ``trials``
-    is checked for one group too.
+    bar lands on whichever group is larger for that question.  Rows are
+    kind-major, in ``kinds`` order.  A question's subsamples are drawn once,
+    from ``stream.spawn("q", question_id)``, and every kind scores them.
+    ``trials`` is checked for one group too.
     """
     trials = _trial_count(trials)
+    if not kinds:
+        raise ConfigError("kinds list is empty")
     if stream is None:
         stream = RandomStream(0)
     filters = (filter_a,) if filter_b is None else (filter_a, filter_b)
-    rows = []
+    blocks: list[list[QuestionReport]] = [[] for _ in kinds]
     for qid in question_ids:
         samples = [extract_samples(dataset, qid, f) for f in filters]
-        comparison = None
-        if filter_b is not None:
-            comparison = compare_groups_equalized(
-                *samples, kind, trials=trials, stream=stream.spawn("q", qid)
-            )
-        groups = tuple(_group_report(s, kind) for s in samples)
-        rows.append(QuestionReport(qid, kind.name, groups, comparison))
-    return AnalysisReport(tuple(rows), len(filters))
+        tables = np.stack([s.count_table() for s in samples])
+        scored = _group_varieties(tables, kinds, trials, stream.spawn("q", qid))
+        bases = [baseline(empirical_joint(s)) if s.n_choices == 2 else None for s in samples]
+        for block, kind, (fulls, comparison) in zip(blocks, kinds, scored):
+            groups = tuple(map(GroupReport, map(len, samples), fulls.tolist(), bases))
+            block.append(QuestionReport(qid, kind.name, groups, comparison))
+    return AnalysisReport(tuple(row for block in blocks for row in block), len(filters))

@@ -301,7 +301,7 @@ def test_criterion_8_survey_fixture_end_to_end():
         [q.question_id for q in dataset.questions],
         RespondentFilter.parse("watches_sports=often"),
         RespondentFilter.parse("watches_sports=rarely"),
-        kind=TVD,
+        kinds=(TVD,),
         trials=100,
         stream=RandomStream(7),
     )

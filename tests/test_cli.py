@@ -10,6 +10,7 @@ from fvariety.fixtures import generate_two_group_survey
 
 # fresh interpreters run from here, so they import this checkout's package
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURE = SRC.parent / "fixtures" / "athletes_like"
 
 
 @pytest.fixture
@@ -289,7 +290,7 @@ class TestAnalyze:
         assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["compute", "theoretical", "simulate"])
+@pytest.mark.parametrize("command", ["compute", "theoretical", "simulate", "analyze"])
 class TestDivergenceList:
     def run(self, command, divergence, joint_path, tmp_path, capsys):
         """(exit code, printed or written output, stderr) of one run."""
@@ -299,6 +300,9 @@ class TestDivergenceList:
             "theoretical": ["theoretical", "--preset", "uniform-1"],
             "simulate": ["simulate", "--preset", "uniform-1", "--trials", "4",
                          "--ratios", "0,1", "--sizes", "50", "--out", str(out)],
+            "analyze": ["analyze", "--responses", str(FIXTURE / "responses.csv"),
+                        "--respondents", str(FIXTURE / "respondents.csv"),
+                        "--questions", "Q1,Q2", "--format", "csv"],
         }[command]
         code = main(argv + ["--divergence", divergence])
         captured = capsys.readouterr()

@@ -7,6 +7,7 @@ rather than answer by answer, must follow the same law as its picks.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from fvariety import (
     load_survey,
     uninformative_projection,
 )
+from fvariety import divergence, estimation
 from fvariety.cli import main as cli_main
 from fvariety.divergence import _variety_stack, f_variety, pointwise_contributions
 from fvariety.errors import BadShape
@@ -198,6 +200,89 @@ def test_equal_size_comparison_reports_exact_zero_std():
     for row in report.rows:
         assert row.comparison.subsample_size == 300
         assert row.comparison.group_b_std == 0.0
+
+
+def fixture_analyze(filters, trials):
+    """In-process ``analyze`` of every fixture question under ``filters``, all kinds."""
+    dataset = load_survey(str(FIXTURE / "responses.csv"), str(FIXTURE / "respondents.csv"))
+    question_ids = [q.question_id for q in dataset.questions]
+    assert len(question_ids) == 7
+    parsed = [RespondentFilter.parse(f) for f in filters if f is not None]
+    kinds = [BUILTIN_KINDS[name] for name in KINDS]
+    return analyze(dataset, question_ids, *parsed, kinds=kinds, trials=trials)
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_kind_list_prints_the_one_kind_runs_back_to_back(tmp_path, case):
+    # rows are kind-major, and each question's stream does not depend on
+    # the kinds, so a kind list gives the one-kind runs' rows, in kind
+    # order, under one header
+    filter_a, filter_b = FORMAT_CASES[case]
+
+    def run(divergence_list, fmt):
+        out = tmp_path / f"{divergence_list}.{fmt}"
+        argv = [
+            "analyze",
+            "--responses", str(FIXTURE / "responses.csv"),
+            "--respondents", str(FIXTURE / "respondents.csv"),
+            "--filter", filter_a, "--divergence", divergence_list,
+            "--trials", "200", "--format", fmt, "--out", str(out),
+        ]
+        if filter_b is not None:
+            argv += ["--filter-b", filter_b]
+        assert cli_main(argv) == 0
+        return out.read_text()
+
+    for fmt in ("table", "csv", "json"):
+        together = run(",".join(KINDS), fmt)
+        alone = [run(name, fmt) for name in KINDS]
+        if fmt == "json":
+            records = [q for text in alone for q in json.loads(text)["questions"]]
+            assert json.loads(together) == {"questions": records}
+            continue
+
+        def lines(text):
+            # a table widens its metric column to the longest kind: compare cells
+            return [line.split() if fmt == "table" else line for line in text.splitlines()]
+
+        header, *rows = lines(together)
+        assert len(rows) == 7 * len(KINDS)
+        assert header == lines(alone[0])[0]
+        assert rows == [row for text in alone for row in lines(text)[1:]]
+
+
+def test_kind_list_draws_each_question_once(monkeypatch):
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    original = estimation._subsample_tables
+    monkeypatch.setattr(estimation, "_subsample_tables", counted)
+    report = fixture_analyze(FORMAT_CASES["side-b"], trials=50)
+    assert len(report.rows) == 7 * len(KINDS)
+    assert len(draws) == 7
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_each_table_is_scored_once_per_kind(monkeypatch, case):
+    # per question and kind: every group's full table once, then, for two
+    # groups, the subsample stack
+    scored = Counter()
+
+    def counted(mass, kind):
+        scored[kind.name] += int(np.prod(mass.shape[:-2]))
+        return original(mass, kind)
+
+    original = divergence._variety_stack
+    for module in (divergence, estimation):
+        monkeypatch.setattr(module, "_variety_stack", counted)
+    trials = 50
+    fixture_analyze(FORMAT_CASES[case], trials)
+    groups = 1 if FORMAT_CASES[case][1] is None else 2
+    per_question = groups + (trials if groups == 2 else 0)
+    assert scored == {name: 7 * per_question for name in KINDS}
 
 
 @st.composite

@@ -18,12 +18,11 @@ from fvariety import (
     write_sweep,
 )
 from fvariety.errors import BadShape, ConfigError, IoError, InvalidGenerator
-from fvariety.estimation import _count_varieties
+from fvariety.estimation import _count_varieties, _sample_tables
 from fvariety.experiments import (
     CSV_HEADER,
     DEFAULT_RATIOS,
     DEFAULT_SAMPLE_SIZES,
-    _sample_tables,
 )
 
 # Bounds of the distribution tests, fixed before they were first run: a

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvariety import (
+    HELLINGER,
     RandomStream,
     RespondentFilter,
     TVD,
@@ -21,6 +22,7 @@ from fvariety import (
 )
 from fvariety.errors import (
     BadShape,
+    ConfigError,
     EmptyGroup,
     EmptySampleSet,
     ParseError,
@@ -246,7 +248,7 @@ class TestAnalyze:
             tmp_path, rows, ["p%d,yes" % i for i in range(10)]
         )
         dataset = load_survey(*paths)
-        report = analyze(dataset, ["Q1"], None, kind=TVD)
+        report = analyze(dataset, ["Q1"], None, kinds=(TVD,))
         group = report.rows[0].groups[0]
         assert group.variety == pytest.approx(0.3, abs=1e-12)
         assert group.baseline == pytest.approx(0.3, abs=1e-12)
@@ -268,7 +270,7 @@ class TestAnalyze:
             ["Q1", "Q2"],
             RespondentFilter.parse("watches_sports=often"),
             RespondentFilter.parse("watches_sports=rarely"),
-            kind=TVD,
+            kinds=(TVD,),
             trials=30,
             stream=RandomStream(3),
         )
@@ -301,9 +303,9 @@ class TestAnalyze:
         flt_a = RespondentFilter.parse("watches_sports=often")
         flt_b = RespondentFilter.parse("watches_sports=rarely")
         dataset = load_survey(str(responses), fixture.respondents_path)
-        forward = analyze(dataset, ["Q1"], flt_a, flt_b, kind=TVD, trials=50,
+        forward = analyze(dataset, ["Q1"], flt_a, flt_b, kinds=(TVD,), trials=50,
                           stream=RandomStream(4)).rows[0]
-        backward = analyze(dataset, ["Q1"], flt_b, flt_a, kind=TVD, trials=50,
+        backward = analyze(dataset, ["Q1"], flt_b, flt_a, kinds=(TVD,), trials=50,
                            stream=RandomStream(4)).rows[0]
         # the larger ("often") group carries the bar on both orderings
         assert forward.resampled_side == "a"
@@ -325,6 +327,31 @@ class TestAnalyze:
         filters = (RespondentFilter.parse("watches=yes"), RespondentFilter.parse("watches=no"))
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
             analyze(dataset, ["Q1"], *filters[:1 + two_group], trials=trials)
+
+    def test_an_empty_kind_list_is_refused(self, tiny_survey):
+        dataset = load_survey(*tiny_survey)
+        with pytest.raises(ConfigError, match="^kinds list is empty$"):
+            analyze(dataset, ["Q1"], None, kinds=())
+
+    @pytest.mark.parametrize("kind, question_id", [(HELLINGER, "Q1"), (TVD, "Q" * 20)])
+    @pytest.mark.parametrize("two_group", [False, True])
+    def test_table_cells_line_up_with_the_header(self, tmp_path, kind, question_id, two_group):
+        # "hellinger x100" and a 20-character id are wider than their
+        # columns' least widths; they used to push every later cell right
+        rows = [f"r{i},{question_id},{'cat' if i % 3 else 'dog'},{10 * i % 110}" for i in range(12)]
+        people = [f"r{i},{'yes' if i < 8 else 'no'}" for i in range(12)]
+        dataset = load_survey(*write_survey(tmp_path, rows, people))
+        filters = (RespondentFilter.parse("watches in yes|no"), RespondentFilter.parse("watches=no"))
+        report = analyze(dataset, [question_id], *filters[:1 + two_group], kinds=(kind,), trials=5)
+        header, line = report.to_table().splitlines()
+        assert len(line) == len(header)
+        metric_at = header.index("metric")
+        assert line[:metric_at].rstrip() == question_id and line[metric_at - 1] == " "
+        assert line[metric_at:].startswith(f"{kind.name} x100 ")
+        titles = ("group A", "group B", "base A", "base B") if two_group else ("value", "baseline")
+        for title in titles:
+            end = header.index(title) + len(title)
+            assert line[end - 1] != " " and line[end:end + 1] in ("", " ")
 
     @pytest.mark.parametrize("writer", ["to_csv", "to_table"])
     def test_two_group_run_without_rows_keeps_the_two_group_header(self, tiny_survey, writer):
@@ -366,7 +393,7 @@ class TestMultiChoiceQuestions:
         paths = write_survey(tmp_path, rows, [f"r{i},yes" for i in range(1, 5)])
         dataset = load_survey(*paths)
         assert dataset.questions[0].options == ("blue", "green", "red")
-        report = analyze(dataset, ["Q1"], None, kind=TVD)
+        report = analyze(dataset, ["Q1"], None, kinds=(TVD,))
         group = report.rows[0].groups[0]
         assert group.baseline is None
         assert group.variety >= 0.0
@@ -384,7 +411,7 @@ class TestMultiChoiceQuestions:
         report = analyze(
             dataset, ["Q1"],
             RespondentFilter.parse("watches=yes"), RespondentFilter.parse("watches=no"),
-            kind=TVD, trials=20, stream=RandomStream(1),
+            kinds=(TVD,), trials=20, stream=RandomStream(1),
         )
         [row] = csv.DictReader(io.StringIO(report.to_csv()))
         assert (row["baseline_a"], row["baseline_b"]) == ("", "")
