@@ -79,14 +79,9 @@ class SampleSet:
         bins = _index_column("bins", self.bins)
         if len(choices) != len(bins):
             raise BadShape(f"{len(choices)} choices but {len(bins)} prediction bins")
-        bad = (choices < 0) | (choices >= self.n_choices)
-        if np.any(bad):
-            raise BadShape(
-                f"choice {choices[bad][0]} outside [0, {self.n_choices})"
-            )
-        bad = (bins < 0) | (bins >= self.n_bins)
-        if np.any(bad):
-            raise BadShape(f"prediction bin {bins[bad][0]} outside [0, {self.n_bins})")
+        for name, col, size in (("choice", choices, n_choices), ("prediction bin", bins, n_bins)):
+            if np.any(bad := (col < 0) | (col >= size)):
+                raise BadShape(f"{name} {col[bad][0]} outside [0, {size})")
         choices.flags.writeable = False
         bins.flags.writeable = False
         object.__setattr__(self, "choices", choices)

@@ -31,25 +31,24 @@ ROOT_TOL = 1e-13
 # bracket they fall where seven bisection steps would
 _SPLIT = 128
 
-# Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK constants).
-_KRONROD_NODES = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
+
+def _mirrored(half: list[float], sign: float = 1.0) -> np.ndarray:
+    """A full table from a QUADPACK half table, which ends at the centre node."""
+    return np.array([sign * v for v in half[:-1]] + half[::-1])
+
+
+# Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK's qk15 half tables).
+_KRONROD_NODES = _mirrored([
     0.991455371120812639206854697526329,
-])
-_KRONROD_WEIGHTS = np.array([
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+], -1.0)
+_KRONROD_WEIGHTS = _mirrored([
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -58,23 +57,13 @@ _KRONROD_WEIGHTS = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
 ])
 # Gauss-7 weights apply to every other Kronrod node (indices 1,3,...,13).
-_GAUSS_WEIGHTS = np.array([
+_GAUSS_WEIGHTS = _mirrored([
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
 ])
 
 
@@ -161,13 +150,11 @@ def adaptive_quadrature(
         totals = [0.0] * rows
         errors = [0.0] * rows
         failure: QuadratureFailure | None = None
-        live = rows  # the rows below it still refine
         children = dict.fromkeys(range(rows), initial)
         while children:
             evaluate([p for panels in children.values() for p in panels])
-            for k, panels in children.items():
-                if k >= live:
-                    break
+            scored, children = children, {}
+            for k, panels in scored.items():
                 try:
                     for a, b in panels:
                         value, err = _panel(blocks[a, b][k], a, b)
@@ -175,25 +162,22 @@ def adaptive_quadrature(
                         counts[k] += 1
                         totals[k] += value
                         errors[k] += err
+                    if errors[k] > tol and counts[k] >= max_intervals:
+                        raise QuadratureFailure(
+                            f"tolerance {tol} not reached within {max_intervals} "
+                            f"intervals (error estimate {errors[k]})"
+                        )
                 except QuadratureFailure as exc:
-                    failure, live = exc, k
-            children = {}
-            for k in range(live):
-                if not errors[k] > tol:
-                    continue
-                if counts[k] >= max_intervals:
-                    failure, live = QuadratureFailure(
-                        f"tolerance {tol} not reached within {max_intervals} intervals "
-                        f"(error estimate {errors[k]})"
-                    ), k
+                    # this row and the rows after it stop
+                    failure, exc.row = exc, k
                     break
-                neg_err, _, a, b, value = heapq.heappop(heaps[k])
-                totals[k] -= value
-                errors[k] += neg_err  # neg_err is -err
-                mid = 0.5 * (a + b)
-                children[k] = [(a, mid), (mid, b)]
+                if errors[k] > tol:
+                    neg_err, _, a, b, value = heapq.heappop(heaps[k])
+                    totals[k] -= value
+                    errors[k] += neg_err  # neg_err is -err
+                    mid = 0.5 * (a + b)
+                    children[k] = [(a, mid), (mid, b)]
     if failure is not None:
-        failure.row = live
         raise failure
     return totals[0] if one_row else totals
 

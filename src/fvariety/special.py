@@ -62,8 +62,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 
 def log_beta(a: float, b: float) -> float:
-    """log B(a, b)."""
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """log B(a, b); raises :class:`DomainError` where it overflows a float."""
+    try:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:
+        raise DomainError(f"log B({a}, {b}) overflows a float") from None
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

@@ -392,22 +392,16 @@ class RespondentFilter:
             part = part.strip()
             if not part:
                 continue
-            if "!=" in part:
-                attr, _, value = part.partition("!=")
-                clauses.append(FilterClause(attr.strip(), "!=", (value.strip(),)))
-            elif " in " in part:
-                attr, _, values = part.partition(" in ")
-                alternatives = tuple(v.strip() for v in values.split("|") if v.strip())
-                if not alternatives:
+            op = next((op for op in ("!=", " in ", "=") if op in part), None)
+            if op is None:
+                raise ValidationError(f"filter clause {part!r} has no operator (=, !=, in)")
+            attr, _, value = part.partition(op)
+            values = (value.strip(),)
+            if op == " in ":
+                values = tuple(v.strip() for v in value.split("|") if v.strip())
+                if not values:
                     raise ValidationError(f"filter clause {part!r} lists no values")
-                clauses.append(FilterClause(attr.strip(), "in", alternatives))
-            elif "=" in part:
-                attr, _, value = part.partition("=")
-                clauses.append(FilterClause(attr.strip(), "=", (value.strip(),)))
-            else:
-                raise ValidationError(
-                    f"filter clause {part!r} has no operator (=, !=, in)"
-                )
+            clauses.append(FilterClause(attr.strip(), op.strip(), values))
         if not clauses:
             raise ValidationError(f"filter {text!r} contains no clauses")
         return cls(clauses=tuple(clauses))

@@ -113,10 +113,10 @@ class PopulationModel:
         try:
             n_choices = obj["n_choices"]
             weights = tuple(float(w) for w in obj["expert_weights"])
-            shapes = [(float(a), float(b)) for a, b in obj["expert_beta"]]
-            noise = (float(obj["nonexpert_beta"][0]), float(obj["nonexpert_beta"][1]))
+            pairs = [*obj["expert_beta"], obj["nonexpert_beta"]]
+            *shapes, noise = [(float(a), float(b)) for a, b in pairs]
             ratio = float(obj["nonexpert_ratio"])
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadShape(
                 f"model JSON object has a missing or malformed field: {exc!r}"
             ) from None

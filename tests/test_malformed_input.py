@@ -120,6 +120,7 @@ class TestRegressions:
         {**MODEL, "n_choices": 2.0},
         {**MODEL, "n_choices": "2"},
         {**MODEL, "n_choices": True},
+        {**MODEL, "nonexpert_beta": [2, 2, 5]},
     ])
     def test_malformed_model_json(self, tmp_path, model):
         path = write(tmp_path / "m.json", json.dumps(model))
@@ -184,6 +185,22 @@ class TestRegressions:
         model = {**MODEL, "nonexpert_beta": [1e300, 1e300]}
         path = write(tmp_path / "m.json", json.dumps(model))
         err = assert_exit_2(["theoretical", "--model", path])
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["theoretical", "simulate"])
+    @pytest.mark.parametrize("field, pair", [
+        ("expert_beta", [[1e306, 1e306], [2, 3]]),
+        ("nonexpert_beta", [1e306, 1e306]),
+    ])
+    def test_shapes_whose_log_beta_overflows_exit_2(self, tmp_path, command, field, pair):
+        # lgamma(1e306) overflows a float; it used to escape as OverflowError
+        path = write(tmp_path / "m.json", json.dumps({**MODEL, field: pair}))
+        argv = [command, "--model", path]
+        if command == "simulate":
+            argv += ["--ratios", "0.3", "--sizes", "20", "--trials", "2",
+                     "--out", str(tmp_path / "sweep.csv")]
+        err = assert_exit_2(argv)
+        assert "overflows" in err
         assert len(err.splitlines()) == 1
 
     def test_overflowing_density_fails_without_a_warning(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special as scipy_special
 
 from fvariety.errors import DomainError, QuadratureFailure
+from fvariety import quadrature
 from fvariety.quadrature import MAX_INTERVALS, adaptive_quadrature, find_sign_changes
 from fvariety.special import _beta_pdf_rows, beta_pdf, log_beta, regularized_incomplete_beta
 
@@ -150,6 +151,17 @@ class TestAdaptiveQuadrature:
     def test_polynomial_exact(self):
         value = adaptive_quadrature(lambda x: x**2, 0.0, 1.0, tol=1e-12)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
+
+    @pytest.mark.parametrize("rule, degree", [("kronrod", 22), ("gauss", 13)])
+    def test_panel_rule_degree(self, rule, degree):
+        # one panel on [-1, 1]: Kronrod-15 is exact up to x**22, and Gauss-7
+        # on the odd-index nodes up to x**13
+        nodes, weights = quadrature._KRONROD_NODES, quadrature._KRONROD_WEIGHTS
+        if rule == "gauss":
+            nodes, weights = nodes[1::2], quadrature._GAUSS_WEIGHTS
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes**k - exact) <= 1e-15, k
 
     def test_kinked_absolute_value(self):
         value = adaptive_quadrature(

@@ -204,6 +204,29 @@ class TestFilters:
         assert flt.matches({"watches": "yes", "gender": "M"})
         assert not flt.matches({"watches": "yes", "gender": "F"})
 
+    @pytest.mark.parametrize("text, clauses", [
+        # the operator is the first of !=, " in ", = that the clause holds
+        ("a!=b in c", [("a", "!=", ("b in c",))]),
+        ("x=y!=z", [("x=y", "!=", ("z",))]),
+        ("w in a=b|c", [("w", "in", ("a=b", "c"))]),
+        (" w in  a | b ", [("w", "in", ("a", "b"))]),
+        (";;w=a;", [("w", "=", ("a",))]),
+        ("w =", [("w", "=", ("",))]),
+        ("w in a|;v!=b", [("w", "in", ("a",)), ("v", "!=", ("b",))]),
+    ])
+    def test_parse_grammar(self, text, clauses):
+        parsed = RespondentFilter.parse(text).clauses
+        assert [(c.attribute, c.op, c.values) for c in parsed] == clauses
+
+    @pytest.mark.parametrize("text, message", [
+        ("w in |", "lists no values"),
+        ("w", "has no operator"),
+        (";", "contains no clauses"),
+    ])
+    def test_parse_errors(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            RespondentFilter.parse(text)
+
     def test_bad_syntax(self):
         with pytest.raises(ValidationError):
             RespondentFilter.parse("watches")
