@@ -44,6 +44,15 @@ def _shape_count(name: str, value: Any) -> int:
     raise BadShape(f"{name} must be an integer, got {value!r}")
 
 
+def _json_number(value: Any) -> float:
+    """A JSON number, an int or a float, as a float; any other value,
+    a bool or a string too, raises TypeError.  ``float`` alone would read
+    ``true`` as 1.0 and ``"0.5"`` as 0.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability table over (choice, prediction-bin) pairs.
@@ -88,11 +97,12 @@ class JointDistribution:
         try:
             n_choices = obj["n_choices"]
             n_bins = obj["n_bins"]
-            mass = np.asarray(obj["mass"], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
-            raise BadShape(f"joint JSON object missing field: {exc}") from exc
-        except (ValueError, OverflowError) as exc:
-            raise BadShape(f"joint JSON object has a malformed field: {exc}") from exc
+            cells = np.asarray(obj["mass"], dtype=object)
+            mass = np.reshape([_json_number(v) for v in cells.flat], cells.shape)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise BadShape(
+                f"joint JSON object has a missing or malformed field: {exc!r}"
+            ) from None
         return cls(n_choices=n_choices, n_bins=n_bins, mass=mass)
 
     def to_json_dict(self) -> dict[str, Any]:

@@ -17,9 +17,12 @@ f-divergence from D to its uninformative projection.  It is zero exactly
 on uninformative distributions and shrinks linearly (or faster) as
 uninformative respondents are mixed in.
 
-``_variety_stack`` stays private although :mod:`fvariety.estimation`
-calls it: it scores a stack of raw mass arrays without the validation
-that :func:`f_variety` gets from :class:`JointDistribution`.
+``pointwise_contributions`` and ``_variety_stack`` are the one kernel:
+each scores every kind in a sequence in one call, one row per kind, so
+no caller loops over kinds.  ``_variety_stack`` stays private although
+:mod:`fvariety.estimation` and :mod:`fvariety.synthesis` call it: it
+scores a stack of raw mass arrays without the validation that
+:func:`f_variety` gets from :class:`JointDistribution`.
 """
 
 from __future__ import annotations
@@ -115,9 +118,10 @@ def get_kind(name: str) -> DivergenceKind:
 
 
 def pointwise_contributions(
-    p: np.ndarray, q: np.ndarray, kind: DivergenceKind
+    p: np.ndarray, q: np.ndarray, kinds: Sequence[DivergenceKind]
 ) -> np.ndarray:
-    """Elementwise terms p*f(q/p) with the zero-mass conventions applied.
+    """Elementwise terms p*f(q/p), one row per kind, with the zero-mass
+    conventions applied; the masks and q/p are computed once for all kinds.
 
     Accepts any non-negative weight arrays (densities included), so the
     continuous-model integrands reuse the exact same conventions as the
@@ -131,18 +135,18 @@ def pointwise_contributions(
     q_positive = q > 0.0
     both = (p > negligible) & q_positive
     if both.all():
-        return p * np.asarray(kind.generator(q / p))
+        ratio = q / p
+        return np.stack([p * np.asarray(kind.generator(ratio)) for kind in kinds])
 
-    out = np.zeros(both.shape)
     p, q = np.broadcast_arrays(p, q)
-    if np.any(both):
-        out[both] = p[both] * np.asarray(kind.generator(q[both] / p[both]))
     q_only = (p <= negligible) & q_positive
-    if np.any(q_only):
-        out[q_only] = q[q_only] * kind.tail
     p_only = (p > 0.0) & (q == 0.0)
-    if np.any(p_only):
-        out[p_only] = p[p_only] * kind.zero_limit
+    p_both, ratio, q_tail, p_zero = p[both], q[both] / p[both], q[q_only], p[p_only]
+    out = np.zeros((len(kinds), *both.shape))
+    for row, kind in zip(out, kinds):
+        row[both] = p_both * np.asarray(kind.generator(ratio))
+        row[q_only] = q_tail * kind.tail
+        row[p_only] = p_zero * kind.zero_limit
     return out
 
 
@@ -170,28 +174,31 @@ def f_divergence(
         raise LengthMismatch(f"lengths differ: {p.shape} vs {q.shape}")
     p = _validate_probability(p, "p")
     q = _validate_probability(q, "q")
-    value = float(pointwise_contributions(p, q, kind).sum())
+    value = float(pointwise_contributions(p, q, [kind])[0].sum())
     if math.isnan(value):  # the limits are never NaN; the generator was
         raise InvalidGenerator(f"{kind.name}: generator gave a NaN divergence")
     return value
 
 
-def _variety_stack(mass: np.ndarray, kind: DivergenceKind) -> np.ndarray:
-    """Variety of every normalized (C, B) table in a ``(..., C, B)`` stack.
+def _variety_stack(mass: np.ndarray, kinds: Sequence[DivergenceKind]) -> np.ndarray:
+    """``(len(kinds), ...)`` varieties of every normalized (C, B) table in
+    a ``(..., C, B)`` stack; a non-finite one names the first such kind.
 
     Repeats the arithmetic of :func:`uninformative_projection` (column
     sums over choices, divided by C, tiled, renormalized by the float
-    total), so each table scores bit-identically to a lone table.  A table
-    whose C rows are all exactly equal is uninformative by definition and
-    scores exactly 0.0, where the renormalization could leave it an ulp off.
+    total) once for all kinds, so each table scores bit-identically to a
+    lone table.  A table whose C rows are all exactly equal is
+    uninformative by definition and scores exactly 0.0, where the
+    renormalization could leave it an ulp off.
     """
     n_choices = mass.shape[-2]
     column = mass.sum(axis=-2, keepdims=True) / n_choices
     projected = np.repeat(column, n_choices, axis=-2)
     projected = projected / projected.sum(axis=(-2, -1), keepdims=True)
-    values = pointwise_contributions(mass, projected, kind).sum(axis=(-2, -1))
-    if not np.all(np.isfinite(values)):  # the pairing is finite; the generator was not
-        raise InvalidGenerator(f"{kind.name}: generator gave a non-finite variety")
+    values = pointwise_contributions(mass, projected, kinds).sum(axis=(-2, -1))
+    for kind, row in zip(kinds, values):
+        if not np.all(np.isfinite(row)):  # the pairing is finite; the generator was not
+            raise InvalidGenerator(f"{kind.name}: generator gave a non-finite variety")
     return np.where(np.all(mass == mass[..., :1, :], axis=(-2, -1)), 0.0, values)
 
 
@@ -201,7 +208,7 @@ def f_variety(dist: JointDistribution, kind: DivergenceKind) -> float:
     Finite for every generator: a projection cell is zero only where the
     whole prediction column is zero, so the p > 0 = q branch cannot occur.
     """
-    return float(_variety_stack(dist.mass, kind))
+    return float(_variety_stack(dist.mass, [kind])[0])
 
 
 def tvd_variety_binary_closed_form(dist: JointDistribution) -> float:

@@ -9,8 +9,9 @@ error bar on exactly one side.
 
 Every count table that the sweep and the survey analysis score is
 counted or drawn here (``_sample_tables``, ``_subsample_tables``) and
-scored here (``_count_varieties``, ``_group_varieties``, ``_trial_std``).
-These stay private: they work on raw count stacks only those callers hold.
+scored here (``_count_varieties``, ``_group_varieties``, ``_trial_std``),
+for every requested kind in one kernel call per stack.  These stay
+private: they work on raw count stacks only those callers hold.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ DEFAULT_SUBSAMPLE_TRIALS = 1000
 _ROUND_OFF = 1e-12
 
 # Count tables per stacked kernel call: 256 tables of 2 x 11 cells keep
-# the kernel's dozen temporaries within ~0.5 MB.
+# the kernel's dozen temporaries within ~0.5 MB, plus ~45 KB per kind.
 _KERNEL_BLOCK = 256
 
 
@@ -97,12 +98,12 @@ class SampleSet:
         return counts.reshape(self.n_choices, self.n_bins)
 
 
-def _count_varieties(counts: np.ndarray, kind: DivergenceKind) -> np.ndarray:
-    """Empirical variety of every count table in a ``(trials, C, B)`` stack.
+def _count_varieties(counts: np.ndarray, kinds: Sequence[DivergenceKind]) -> np.ndarray:
+    """``(len(kinds), trials)`` empirical varieties of a ``(trials, C, B)`` count stack.
 
-    Each table is normalized as :func:`empirical_joint` stores it: divided
-    by n, then by its float total, as :class:`JointDistribution` does.
-    Tables are scored ``_KERNEL_BLOCK`` at a time, so the kernel's
+    Each table is normalized once, as :func:`empirical_joint` stores it:
+    divided by n, then by its float total, as :class:`JointDistribution`
+    does.  Tables are scored ``_KERNEL_BLOCK`` at a time, so the kernel's
     temporaries stay in cache and do not grow with the trial count.
     """
     values = []
@@ -110,9 +111,9 @@ def _count_varieties(counts: np.ndarray, kind: DivergenceKind) -> np.ndarray:
         block = counts[start:start + _KERNEL_BLOCK]
         mass = block / block.sum(axis=(-2, -1), keepdims=True)
         values.append(
-            _variety_stack(mass / mass.sum(axis=(-2, -1), keepdims=True), kind)
+            _variety_stack(mass / mass.sum(axis=(-2, -1), keepdims=True), kinds)
         )
-    return np.concatenate(values)
+    return np.concatenate(values, axis=1)
 
 
 def _trial_std(values: np.ndarray) -> float:
@@ -220,9 +221,9 @@ def _group_varieties(
     """Per kind: each group's full-sample variety in a ``(G, C, B)`` count
     stack and, for two groups, their comparison (see
     :func:`compare_groups_equalized`).  The larger group's subsample
-    tables are drawn once, on ``stream``, and every kind scores them.
+    tables are drawn once, on ``stream``, and scored for every kind at once.
     """
-    fulls = [_count_varieties(tables, kind) for kind in kinds]
+    fulls = _count_varieties(tables, kinds)
     if len(tables) == 1:
         return [(full, None) for full in fulls]
     size_a, size_b = tables.sum(axis=(1, 2)).tolist()
@@ -232,7 +233,7 @@ def _group_varieties(
         stats = [(float(full[large]), 0.0) for full in fulls]
     else:
         subsamples = _subsample_tables(tables[large], size, trials, stream)
-        trial_values = (_count_varieties(subsamples, kind) for kind in kinds)
+        trial_values = _count_varieties(subsamples, kinds)
         stats = [(float(values.mean()), _trial_std(values)) for values in trial_values]
     return [
         (full, GroupComparison(kind.name, float(full[small]), mean, std, trials, size))

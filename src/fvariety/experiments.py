@@ -84,13 +84,11 @@ def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
         for n in config.sample_sizes:
             stream = root.spawn("tables", ri, n)
             counts = _sample_tables(joint.mass, n, config.trials_per_point, stream)
-            for block, name, kind, cont, disc in zip(
-                blocks, config.divergences, kinds, conts, discs
-            ):
-                values = _count_varieties(counts, kind)
+            scored = _count_varieties(counts, kinds)
+            for block, kind, cont, disc, values in zip(blocks, kinds, conts, discs, scored):
                 block.append(
                     SweepRow(
-                        kind=name,
+                        kind=kind.name,
                         ratio=float(ratio),
                         n=n,
                         empirical_mean=float(values.mean()),

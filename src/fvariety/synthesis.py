@@ -29,8 +29,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .distributions import JointDistribution, _shape_count
-from .divergence import DivergenceKind, f_variety, pointwise_contributions
+from .distributions import JointDistribution, _json_number, _shape_count
+from .divergence import DivergenceKind, _variety_stack, pointwise_contributions
 from .errors import BadShape, BadWeights, DomainError, QuadratureFailure
 from .estimation import N_PREDICTION_BINS, SampleSet
 from .quadrature import ROOT_TOL, adaptive_quadrature, find_sign_changes
@@ -112,10 +112,10 @@ class PopulationModel:
     def from_json_dict(cls, obj: dict[str, Any]) -> "PopulationModel":
         try:
             n_choices = obj["n_choices"]
-            weights = tuple(float(w) for w in obj["expert_weights"])
+            weights = tuple(map(_json_number, obj["expert_weights"]))
             pairs = [*obj["expert_beta"], obj["nonexpert_beta"]]
-            *shapes, noise = [(float(a), float(b)) for a, b in pairs]
-            ratio = float(obj["nonexpert_ratio"])
+            *shapes, noise = [(_json_number(a), _json_number(b)) for a, b in pairs]
+            ratio = _json_number(obj["nonexpert_ratio"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadShape(
                 f"model JSON object has a missing or malformed field: {exc!r}"
@@ -267,16 +267,13 @@ def _model_varieties(
         kinks = roots[np.diff(roots, prepend=-np.inf) > ROOT_TOL].tolist()
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            dens, mean = _densities(model, x)
-            return np.stack([
-                pointwise_contributions(dens, mean, kind).sum(axis=0) for kind in kinds
-            ])
+            return pointwise_contributions(*_densities(model, x), kinds).sum(axis=1)
 
         try:
             conts = adaptive_quadrature(integrand, 0.0, 1.0, tol, kinks)
         except QuadratureFailure as exc:
             raise QuadratureFailure(f"{kinds[exc.row].name}: {exc}") from None
-    discs = [f_variety(joint, kind) for kind in kinds]
+    discs = _variety_stack(joint.mass, kinds).tolist()
     for kind, cont, disc in zip(kinds, conts, discs):
         if cont < disc - tol:
             raise QuadratureFailure(

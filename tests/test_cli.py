@@ -316,6 +316,12 @@ class TestDivergenceList:
         assert plain[0] == 0 and plain[1]
         assert self.run(command, spelled, joint_path, tmp_path, capsys) == plain
 
+    def test_kinds_are_named_in_lower_case(self, command, joint_path, tmp_path, capsys):
+        # simulate used to write each kind as it was typed
+        lower = self.run(command, "tvd,kl", joint_path, tmp_path, capsys)
+        assert lower[0] == 0 and lower[1]
+        assert self.run(command, "TVD,Kl", joint_path, tmp_path, capsys) == lower
+
     @pytest.mark.parametrize("empty", [",", "", " , "])
     def test_a_list_without_kinds_exits_2(self, command, empty, joint_path, tmp_path, capsys):
         code, output, err = self.run(command, empty, joint_path, tmp_path, capsys)

@@ -49,7 +49,7 @@ MEAN_SE = 5
 def reference_f_variety(dist: JointDistribution, kind) -> float:
     projected = uninformative_projection(dist)
     return float(
-        pointwise_contributions(dist.mass.ravel(), projected.mass.ravel(), kind).sum()
+        pointwise_contributions(dist.mass.ravel(), projected.mass.ravel(), [kind])[0].sum()
     )
 
 
@@ -202,13 +202,14 @@ def test_equal_size_comparison_reports_exact_zero_std():
         assert row.comparison.group_b_std == 0.0
 
 
-def fixture_analyze(filters, trials):
-    """In-process ``analyze`` of every fixture question under ``filters``, all kinds."""
+def fixture_analyze(filters, trials, names=KINDS):
+    """In-process ``analyze`` of every fixture question under ``filters``,
+    every kind in ``names``."""
     dataset = load_survey(str(FIXTURE / "responses.csv"), str(FIXTURE / "respondents.csv"))
     question_ids = [q.question_id for q in dataset.questions]
     assert len(question_ids) == 7
     parsed = [RespondentFilter.parse(f) for f in filters if f is not None]
-    kinds = [BUILTIN_KINDS[name] for name in KINDS]
+    kinds = [BUILTIN_KINDS[name] for name in names]
     return analyze(dataset, question_ids, *parsed, kinds=kinds, trials=trials)
 
 
@@ -271,9 +272,10 @@ def test_each_table_is_scored_once_per_kind(monkeypatch, case):
     # groups, the subsample stack
     scored = Counter()
 
-    def counted(mass, kind):
-        scored[kind.name] += int(np.prod(mass.shape[:-2]))
-        return original(mass, kind)
+    def counted(mass, kinds):
+        for kind in kinds:
+            scored[kind.name] += int(np.prod(mass.shape[:-2]))
+        return original(mass, kinds)
 
     original = divergence._variety_stack
     for module in (divergence, estimation):
@@ -283,6 +285,23 @@ def test_each_table_is_scored_once_per_kind(monkeypatch, case):
     groups = 1 if FORMAT_CASES[case][1] is None else 2
     per_question = groups + (trials if groups == 2 else 0)
     assert scored == {name: 7 * per_question for name in KINDS}
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_kernel_calls_do_not_grow_with_the_kinds(monkeypatch, case):
+    calls = []
+
+    def counted(mass, kinds):
+        calls.append(len(kinds))
+        return original(mass, kinds)
+
+    original = divergence._variety_stack
+    monkeypatch.setattr(estimation, "_variety_stack", counted)
+    fixture_analyze(FORMAT_CASES[case], 50, ["tvd"])
+    one_kind = len(calls)
+    calls.clear()
+    fixture_analyze(FORMAT_CASES[case], 50)
+    assert calls == [len(KINDS)] * one_kind
 
 
 @st.composite
@@ -310,7 +329,7 @@ def count_stacks(draw):
 def test_count_stack_equals_per_table_variety(counts, kind_name):
     kind = BUILTIN_KINDS[kind_name]
     trials, n_choices, n_bins = counts.shape
-    values = _count_varieties(counts, kind)
+    values = _count_varieties(counts, [kind])[0]
     assert values.shape == (trials,)
     for t in range(trials):
         dist = JointDistribution(
@@ -340,7 +359,7 @@ def test_mass_stack_equals_per_table_variety(
             n_choices=n_choices, n_bins=n_bins,
             mass=(mass / mass.sum()).reshape(n_choices, n_bins),
         ))
-    values = _variety_stack(np.stack([d.mass for d in dists]), kind)
+    values = _variety_stack(np.stack([d.mass for d in dists]), [kind])[0]
     for value, dist in zip(values, dists):
         assert value == reference_f_variety(dist, kind)
 
@@ -366,15 +385,15 @@ def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_op
     samples = answers(3, unchosen_option, 404)
     for size in (17, 60):
         got = _count_varieties(
-            _subsample_tables(samples.count_table(), size, 1000, RandomStream(9)), kind
-        )
+            _subsample_tables(samples.count_table(), size, 1000, RandomStream(9)), [kind]
+        )[0]
         want = reference_subsampled_values(samples, size, kind, 1000, RandomStream(10))
         assert ks_2samp(got, want).pvalue > KS_ALPHA
     # a full-size subsample is the group itself, in every trial
     size = len(samples)
     got = _count_varieties(
-        _subsample_tables(samples.count_table(), size, 40, RandomStream(9)), kind
-    )
+        _subsample_tables(samples.count_table(), size, 40, RandomStream(9)), [kind]
+    )[0]
     want = reference_subsampled_values(samples, size, kind, 40, RandomStream(10))
     np.testing.assert_array_equal(got, want)
 
@@ -387,7 +406,7 @@ def test_subsample_tables_follow_the_law_of_the_reference(n_choices, size):
     table = samples.count_table()
     tables = _subsample_tables(table, size, trials, RandomStream(31))
     want = reference_subsampled_values(samples, size, TVD, trials, RandomStream(32))
-    assert ks_2samp(_count_varieties(tables, TVD), want).pvalue > KS_ALPHA
+    assert ks_2samp(_count_varieties(tables, [TVD])[0], want).pvalue > KS_ALPHA
     # hypergeometric cell means and variances
     total = len(samples)
     share = table / total

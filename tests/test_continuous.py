@@ -403,6 +403,29 @@ def test_each_node_array_is_evaluated_once_per_call(monkeypatch):
     assert together == separate
 
 
+def test_each_integrand_call_scores_every_kind_once(monkeypatch):
+    # the kinds share one pointwise_contributions call per node array
+    model = get_preset("non-uniform-2").with_ratio(0.3)
+    kinds = [BUILTIN_KINDS[name] for name in KINDS]
+    scored, evaluated = [], []
+    contributions, quadrature = synthesis.pointwise_contributions, synthesis.adaptive_quadrature
+
+    def recording(p, q, kinds):
+        scored.append(len(kinds))
+        return contributions(p, q, kinds)
+
+    def counting_quadrature(integrand, *args):
+        counted, calls = counting(integrand)
+        evaluated.append(calls)
+        return quadrature(counted, *args)
+
+    monkeypatch.setattr(synthesis, "pointwise_contributions", recording)
+    monkeypatch.setattr(synthesis, "adaptive_quadrature", counting_quadrature)
+    _model_varieties(model, kinds)
+    [calls] = evaluated
+    assert calls and scored == [len(kinds)] * len(calls)
+
+
 def counting(func):
     """``func`` wrapped to record each call, and the list of calls."""
     calls = []

@@ -23,7 +23,7 @@ from fvariety import (
     tvd_variety_binary_closed_form,
     uninformative_projection,
 )
-from fvariety.divergence import pointwise_contributions
+from fvariety.divergence import _variety_stack, pointwise_contributions
 from fvariety.estimation import _count_varieties
 from fvariety.errors import (
     InvalidGenerator,
@@ -157,7 +157,7 @@ class TestFDivergence:
         # q/p = 1e320 overflows; the term is its p -> 0 limit, q * tail
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            term = pointwise_contributions(np.array([1e-320]), np.array([1.0]), kind)
+            term = pointwise_contributions(np.array([1e-320]), np.array([1.0]), [kind])[0]
         assert term.tolist() == [kind.tail]
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
@@ -247,11 +247,94 @@ def mass_pairs(draw):
 def test_pointwise_contributions_match_the_masked_terms_bit_for_bit(pair, kind):
     p, q = pair
     with np.errstate(all="ignore"):  # inf/inf and inf*0 give NaN on both sides
-        found = pointwise_contributions(p, q, kind)
+        found = pointwise_contributions(p, q, [kind])[0]
         expected = masked_pointwise_contributions(p, q, kind)
     assert found.shape == expected.shape
     np.testing.assert_array_equal(found, expected)
     np.testing.assert_array_equal(np.signbit(found), np.signbit(expected))
+
+
+# a convex generator of no builtin: Le Cam's, (x - 1)^2 / (2 (x + 1)),
+# in a form that cannot overflow
+LE_CAM = DivergenceKind(
+    "le-cam", lambda x: 0.5 * (x - 1.0) * ((x - 1.0) / (x + 1.0)), tail=0.5, zero_limit=0.5
+)
+# 1-4 kinds, repeats allowed, the custom one among them
+KIND_LISTS = st.lists(st.sampled_from(ALL_KINDS + (LE_CAM,)), min_size=1, max_size=4)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mass_pairs(), KIND_LISTS)
+def test_pointwise_rows_equal_one_kind_terms_bit_for_bit(pair, kinds):
+    p, q = pair
+    with np.errstate(all="ignore"):
+        rows = pointwise_contributions(p, q, kinds)
+        expected = [masked_pointwise_contributions(p, q, kind) for kind in kinds]
+    assert rows.shape == (len(kinds), *np.broadcast_shapes(p.shape, q.shape))
+    for row, terms in zip(rows, expected):
+        assert hexes(row) == hexes(terms)
+
+
+@st.composite
+def mass_stacks(draw):
+    """A normalized (C, B) table or (T, C, B) stack with zero cells and
+    cells small enough to take the p -> 0 limit against their projection."""
+    n_choices, n_bins = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(n_choices, n_bins), (draw(st.integers(1, 3)), n_choices, n_bins)]))
+    cells = st.floats(1e-3, 10.0) | st.sampled_from([0.0, 1e-310, 1e-20])
+    mass = draw(hnp.arrays(np.float64, shape, elements=cells))
+    totals = mass.sum(axis=(-2, -1), keepdims=True)
+    return mass / np.where(totals > 0.0, totals, 1.0) + (totals == 0.0) / (n_choices * n_bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mass_stacks(), KIND_LISTS)
+def test_variety_rows_equal_one_kind_calls_bit_for_bit(mass, kinds):
+    rows = _variety_stack(mass, kinds)
+    assert rows.shape == (len(kinds), *mass.shape[:-2])
+    for row, kind in zip(rows, kinds):
+        assert hexes(row) == hexes(_variety_stack(mass, [kind])[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(257, 700), st.integers(2, 4), st.integers(1, 11),
+       st.integers(0, 2**32 - 1), KIND_LISTS)
+def test_count_rows_equal_one_kind_calls_bit_for_bit(trials, n_choices, n_bins, seed, kinds):
+    # more than one _KERNEL_BLOCK of sparse tables
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(rng.uniform(0.05, 3.0), size=(trials, n_choices, n_bins))
+    counts[np.arange(trials), rng.integers(0, n_choices, trials), 0] += 1
+    rows = _count_varieties(counts, kinds)
+    assert rows.shape == (len(kinds), trials)
+    for row, kind in zip(rows, kinds):
+        assert hexes(row) == hexes(_count_varieties(counts, [kind])[0])
+
+
+INF_BEYOND_20 = DivergenceKind(
+    "inf-beyond-20",
+    lambda x: np.where(x > 20.0, np.inf, 0.5 * np.abs(x - 1.0)),
+    tail=0.5,
+    zero_limit=0.5,
+)
+
+
+@pytest.mark.parametrize("kinds, named", [
+    ([TVD, KL, NAN_BEYOND_20], "nan-beyond-20"),
+    ([NAN_BEYOND_20, TVD], "nan-beyond-20"),
+    ([HELLINGER, INF_BEYOND_20, NAN_BEYOND_20], "inf-beyond-20"),
+    ([PEARSON, NAN_BEYOND_20, INF_BEYOND_20], "nan-beyond-20"),
+])
+def test_non_finite_variety_names_the_first_failing_kind(kinds, named):
+    # p = 0.01 against a projection cell of 0.25: q / p = 25
+    mass = np.array([[0.01, 0.49], [0.49, 0.01]])
+    with pytest.raises(InvalidGenerator, match=f"^{named}: "):
+        _variety_stack(mass, kinds)
+    with pytest.raises(InvalidGenerator, match=f"^{named}: "):
+        _count_varieties(np.array([[[1, 49], [49, 1]]] * 300), kinds)
 
 
 class TestFVariety:
@@ -267,7 +350,7 @@ class TestFVariety:
             for shape in [(2, 11), (7, 3)]:
                 dist = JointDistribution(*shape, np.full(shape, 1 / math.prod(shape)))
                 assert f_variety(dist, kind) == 0.0
-            values = _count_varieties(counts, kind)
+            values = _count_varieties(counts, [kind])[0]
             assert values[:2].tolist() == [0.0, 0.0] and values[2] > 0.0
 
     def test_diagonal_values_for_all_builtins(self):

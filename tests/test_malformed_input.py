@@ -121,6 +121,12 @@ class TestRegressions:
         {**MODEL, "n_choices": "2"},
         {**MODEL, "n_choices": True},
         {**MODEL, "nonexpert_beta": [2, 2, 5]},
+        {"n_choices": 2, "expert_weights": [True, False], "expert_beta": ["83", [4, 5]],
+         "nonexpert_beta": "22", "nonexpert_ratio": "0.3"},
+        {**MODEL, "expert_weights": [True, False]},
+        {**MODEL, "expert_beta": ["83", [4, 5]]},
+        {**MODEL, "nonexpert_beta": "22"},
+        {**MODEL, "nonexpert_ratio": "0.3"},
     ])
     def test_malformed_model_json(self, tmp_path, model):
         path = write(tmp_path / "m.json", json.dumps(model))
@@ -139,6 +145,9 @@ class TestRegressions:
         {**JOINT, "n_bins": 2.0},
         {**JOINT, "n_bins": "2"},
         {**JOINT, "n_bins": True, "mass": [[0.5], [0.5]]},
+        {**JOINT, "mass": [["0.5", "0"], [False, "0.5"]]},
+        {**JOINT, "mass": [[0.5, 0.0], [False, 0.5]]},
+        {**JOINT, "mass": [[0.5, 0.0], [0.0, "0.5"]]},
     ])
     def test_malformed_joint_json(self, tmp_path, joint):
         path = write(tmp_path / "j.json", json.dumps(joint))
