@@ -29,7 +29,6 @@ from .divergence import (
     tvd_variety_binary_closed_form,
 )
 from .estimation import (
-    SampleSet,
     compare_groups_equalized,
     empirical_f_variety,
     empirical_joint,
@@ -66,7 +65,6 @@ __all__ = [
     "PopulationModel",
     "RandomStream",
     "RespondentFilter",
-    "SampleSet",
     "SweepConfig",
     "TVD",
     "analyze",

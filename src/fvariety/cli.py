@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from .distributions import JointDistribution
-from .divergence import f_variety, get_kind
+from .divergence import _variety_stack, get_kind
 from .errors import ConfigError, IoError, VarietyError
 from .estimation import DEFAULT_SUBSAMPLE_TRIALS
 from .experiments import (
@@ -73,8 +73,8 @@ def _comma_list(text: str, option: str, noun: str, convert: type = str) -> tuple
 def _cmd_compute(args: argparse.Namespace) -> int:
     dist = JointDistribution.from_json_dict(_load_json(args.joint))
     kinds = [get_kind(name) for name in _comma_list(args.divergence, "--divergence", "kind")]
-    for kind in kinds:
-        print(f"{kind.name} {f_variety(dist, kind):.12g}")
+    for kind, value in zip(kinds, _variety_stack(dist.mass, kinds).tolist()):
+        print(f"{kind.name} {value:.12g}")
     return EXIT_OK
 
 

@@ -7,6 +7,11 @@ from: marginals, mixing, the uninformative projection (uniform choices,
 independent of prediction, same prediction marginal), and the predicate
 that tests whether a distribution already is uninformative.
 
+It is also the one home of the prediction grid (11 options, 0% to 100%)
+and of the count table of answers on it, the one sample type: every
+sample is drawn, read or scored as its ``(n_choices, n_bins)`` table of
+answer counts.
+
 All values are immutable; operations return new objects.
 """
 
@@ -32,6 +37,29 @@ from .errors import (
 NORMALIZATION_SLACK = 1e-9
 
 _UNINFORMATIVE_TOL = 1e-9
+
+# Prediction options 0%, 10%, ..., 100%, and the percent between two of them.
+N_PREDICTION_BINS = 11
+_PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
+
+# Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
+_GRID_STEPS = N_PREDICTION_BINS - 1
+BIN_EDGES = np.concatenate(
+    ([0.0], np.arange(_GRID_STEPS) / _GRID_STEPS + 0.5 / _GRID_STEPS, [1.0])
+)
+
+
+def _discretize_array(x: np.ndarray) -> np.ndarray:
+    """Snap predictions in [0, 1] to the nearest of the 11 options, half-up."""
+    return np.floor(_GRID_STEPS * x + 0.5).astype(np.intp)
+
+
+def _count_table(n_choices: int, choices: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """``(n_choices, N_PREDICTION_BINS)`` intp table counting the answers
+    whose choice index and prediction bin are ``choices[i]``, ``bins[i]``."""
+    cells = choices * N_PREDICTION_BINS + bins
+    counts = np.bincount(cells, minlength=n_choices * N_PREDICTION_BINS)
+    return counts.reshape(n_choices, N_PREDICTION_BINS)
 
 
 def _shape_count(name: str, value: Any) -> int:

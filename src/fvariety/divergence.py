@@ -20,8 +20,8 @@ uninformative respondents are mixed in.
 ``pointwise_contributions`` and ``_variety_stack`` are the one kernel:
 each scores every kind in a sequence in one call, one row per kind, so
 no caller loops over kinds.  ``_variety_stack`` stays private although
-:mod:`fvariety.estimation` and :mod:`fvariety.synthesis` call it: it
-scores a stack of raw mass arrays without the validation that
+:mod:`fvariety.estimation`, :mod:`fvariety.synthesis` and the CLI call
+it: it scores a stack of raw mass arrays without the validation that
 :func:`f_variety` gets from :class:`JointDistribution`.
 """
 

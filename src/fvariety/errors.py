@@ -69,7 +69,7 @@ class QuadratureFailure(VarietyError):
 # --- estimation and experiments -------------------------------------------
 
 class EmptySampleSet(InputError):
-    """A metric was requested on a sample set with no observations."""
+    """A metric was requested on a count table with no observations."""
 
 
 class ConfigError(InputError):

@@ -1,17 +1,21 @@
-"""Plug-in estimation from observed (choice, prediction-bin) samples.
+"""Plug-in estimation from observed (choice, prediction-bin) count tables.
 
-The empirical joint is the raw normalized histogram; there is no
-smoothing, so zero-count cells are genuine zeros.  Group comparisons
-follow the equalized-subsampling protocol: the larger group is repeatedly
-subsampled without replacement down to the smaller group's respondent
-count, which removes sample-size effects from the metric and puts the
-error bar on exactly one side.
+A sample is its ``(n_choices, n_bins)`` integer table of answer counts,
+one answer per respondent, so its total is the respondent count.  The
+empirical joint is the raw normalized table; there is no smoothing, so
+zero-count cells are genuine zeros.  Group comparisons follow the
+equalized-subsampling protocol: the larger group is repeatedly subsampled
+without replacement down to the smaller group's respondent count, which
+removes sample-size effects from the metric and puts the error bar on
+exactly one side.
 
-Every count table that the sweep and the survey analysis score is
-counted or drawn here (``_sample_tables``, ``_subsample_tables``) and
-scored here (``_count_varieties``, ``_group_varieties``, ``_trial_std``),
-for every requested kind in one kernel call per stack.  These stay
-private: they work on raw count stacks only those callers hold.
+The sweep's tables and the comparisons' subsample tables are drawn here
+(``_sample_tables``, ``_subsample_tables``), and every count table that
+the sweep and the survey analysis score is scored here
+(``_count_varieties``, ``_group_varieties``, ``_trial_std``), for every
+requested kind in one kernel call per stack.  These stay private: they
+work on raw count stacks only those callers hold, without the checks of
+the public entry points.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from .divergence import DivergenceKind, _variety_stack, f_variety
 from .errors import BadShape, EmptySampleSet, ShapeMismatch
 from .sampling import RandomStream
 
-# Prediction options 0%, 10%, ..., 100%, and the percent between two of them.
-N_PREDICTION_BINS = 11
-_PCT_STEP = 100 // (N_PREDICTION_BINS - 1)
-
 # Subsamples of the larger group in a comparison, unless asked otherwise.
 DEFAULT_SUBSAMPLE_TRIALS = 1000
 
@@ -39,63 +39,6 @@ _ROUND_OFF = 1e-12
 # Count tables per stacked kernel call: 256 tables of 2 x 11 cells keep
 # the kernel's dozen temporaries within ~0.5 MB, plus ~45 KB per kind.
 _KERNEL_BLOCK = 256
-
-
-def _index_column(name: str, column: Any) -> np.ndarray:
-    """``column`` as a flat intp copy.
-
-    A non-empty column must have an integer dtype, so float and bool
-    columns are refused rather than truncated; an empty column of any
-    dtype (``[]`` is float) is an empty sample.
-    """
-    values = np.asarray(column).reshape(-1)
-    if len(values) and not np.issubdtype(values.dtype, np.integer):
-        raise BadShape(f"{name} must be integers, got dtype {values.dtype}")
-    return values.astype(np.intp)
-
-
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Observations as parallel columns plus the (n_choices, n_bins) shape.
-
-    ``choices[i]`` and ``bins[i]`` are observation i's choice index and
-    prediction bin.  Each observation is one respondent's answer, so the
-    observation count is the respondent count.  The arrays are read-only
-    intp copies; a non-empty column must have an integer dtype.
-    """
-
-    n_choices: int
-    n_bins: int
-    choices: np.ndarray
-    bins: np.ndarray
-
-    def __post_init__(self) -> None:
-        n_choices = _shape_count("n_choices", self.n_choices)
-        n_bins = _shape_count("n_bins", self.n_bins)
-        if n_choices < 2 or n_bins < 1:
-            raise BadShape(f"sample shape ({n_choices}, {n_bins}) is invalid")
-        object.__setattr__(self, "n_choices", n_choices)
-        object.__setattr__(self, "n_bins", n_bins)
-        choices = _index_column("choices", self.choices)
-        bins = _index_column("bins", self.bins)
-        if len(choices) != len(bins):
-            raise BadShape(f"{len(choices)} choices but {len(bins)} prediction bins")
-        for name, col, size in (("choice", choices, n_choices), ("prediction bin", bins, n_bins)):
-            if np.any(bad := (col < 0) | (col >= size)):
-                raise BadShape(f"{name} {col[bad][0]} outside [0, {size})")
-        choices.flags.writeable = False
-        bins.flags.writeable = False
-        object.__setattr__(self, "choices", choices)
-        object.__setattr__(self, "bins", bins)
-
-    def __len__(self) -> int:
-        return len(self.choices)
-
-    def count_table(self) -> np.ndarray:
-        """(n_choices, n_bins) table of observation counts."""
-        cells = self.choices * self.n_bins + self.bins
-        counts = np.bincount(cells, minlength=self.n_choices * self.n_bins)
-        return counts.reshape(self.n_choices, self.n_bins)
 
 
 def _count_varieties(counts: np.ndarray, kinds: Sequence[DivergenceKind]) -> np.ndarray:
@@ -130,21 +73,45 @@ def _trial_std(values: np.ndarray) -> float:
     return float(values.std(ddof=1))
 
 
-def empirical_joint(samples: SampleSet) -> JointDistribution:
-    """Normalized count table: entry (c, b) = count(c, b) / n."""
-    n = len(samples)
-    if n == 0:
+def _checked_counts(table: Any) -> np.ndarray:
+    """``table`` as an intp array, checked to be a count table.
+
+    It must be a 2-D integer array (not bool) of at least 2 choices and 1
+    bin with no negative cell, else :class:`BadShape`; a table with no
+    answers raises :class:`EmptySampleSet`.
+    """
+    counts = np.asarray(table)
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise BadShape(f"count table must be integers, got dtype {counts.dtype}")
+    if counts.ndim != 2 or counts.shape[0] < 2 or counts.shape[1] < 1:
+        raise BadShape(
+            f"count table has shape {counts.shape}, need (n_choices >= 2, n_bins >= 1)"
+        )
+    # one dtype for every table, so two groups stack as integers
+    counts = counts.astype(np.intp, copy=False)
+    if np.any(counts < 0):
+        raise BadShape(f"count table has a negative cell, {counts.min()}")
+    if not counts.any():
         raise EmptySampleSet("cannot estimate a distribution from no observations")
+    return counts
+
+
+def empirical_joint(counts: np.ndarray) -> JointDistribution:
+    """Normalized count table: entry (c, b) = counts[c, b] / n, n the total.
+
+    ``counts`` is a ``(n_choices, n_bins)`` integer table, as
+    :func:`draw_samples` and :func:`extract_samples` return.
+    """
+    counts = _checked_counts(counts)
+    n_choices, n_bins = counts.shape
     return JointDistribution(
-        n_choices=samples.n_choices,
-        n_bins=samples.n_bins,
-        mass=samples.count_table() / n,
+        n_choices=n_choices, n_bins=n_bins, mass=counts / counts.sum()
     )
 
 
-def empirical_f_variety(samples: SampleSet, kind: DivergenceKind) -> float:
+def empirical_f_variety(counts: np.ndarray, kind: DivergenceKind) -> float:
     """Variety of the empirical joint.  Positively biased on noise at small n."""
-    return f_variety(empirical_joint(samples), kind)
+    return f_variety(empirical_joint(counts), kind)
 
 
 @dataclass(frozen=True)
@@ -181,9 +148,8 @@ def _sample_tables(
     """``(trials, C, B)`` count tables of ``trials`` samples of n respondents.
 
     ``mass`` is the model's :func:`exact_discretized_joint`.  Respondents
-    are drawn iid and then binned, so the count table of
-    :func:`draw_samples` is Multinomial(n, mass): all trials are one call
-    on ``stream``.
+    are drawn iid and then binned, so the table that :func:`draw_samples`
+    returns is Multinomial(n, mass): all trials are one call on ``stream``.
     """
     p = mass.ravel()
     draws = stream.generator.multinomial(n, p / p.sum(), size=trials)
@@ -242,34 +208,30 @@ def _group_varieties(
 
 
 def compare_groups_equalized(
-    group_a: SampleSet,
-    group_b: SampleSet,
+    group_a: np.ndarray,
+    group_b: np.ndarray,
     kind: DivergenceKind,
     trials: int = DEFAULT_SUBSAMPLE_TRIALS,
     stream: RandomStream | None = None,
 ) -> GroupComparison:
-    """Compare two groups at equal respondent counts.
+    """Compare two groups' count tables at equal respondent counts.
 
-    Both groups must have one ``(n_choices, n_bins)`` shape, else
+    Both tables must have one ``(n_choices, n_bins)`` shape, else
     :class:`ShapeMismatch`.  A group's answers are its respondents, one
     answer each.  The smaller group's metric is computed once on
     everything it has; the larger group's answers are subsampled without
     replacement to the same count ``trials`` times, as count tables drawn
-    from its own, so the order of its answers cannot move them.  When
-    sizes are equal the argument order is kept, and every subsample is the
-    whole group, so the larger group's mean is its own full-sample value
-    and the std is exactly 0.
+    from its own.  When sizes are equal the argument order is kept, and
+    every subsample is the whole group, so the larger group's mean is its
+    own full-sample value and the std is exactly 0.
     """
-    if len(group_a) == 0 or len(group_b) == 0:
-        raise EmptySampleSet("both groups need at least one observation")
-    shape_a = (group_a.n_choices, group_a.n_bins)
-    shape_b = (group_b.n_choices, group_b.n_bins)
-    if shape_a != shape_b:
-        raise ShapeMismatch(f"group shapes {shape_a} and {shape_b} differ")
+    group_a, group_b = _checked_counts(group_a), _checked_counts(group_b)
+    if group_a.shape != group_b.shape:
+        raise ShapeMismatch(f"group shapes {group_a.shape} and {group_b.shape} differ")
     trials = _trial_count(trials)
     if stream is None:
         stream = RandomStream(0)
 
-    tables = np.stack([group_a.count_table(), group_b.count_table()])
+    tables = np.stack([group_a, group_b])
     [(_, comparison)] = _group_varieties(tables, [kind], trials, stream)
     return comparison

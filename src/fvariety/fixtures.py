@@ -12,9 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .estimation import _PCT_STEP, SampleSet
+import numpy as np
+
+from .distributions import _PCT_STEP, _count_table
 from .sampling import RandomStream
-from .synthesis import draw_samples, get_preset
+from .synthesis import _draw_answers, get_preset
 
 DEFAULT_SEED = 20240811
 
@@ -26,12 +28,12 @@ CHOICE_LABELS = ("A", "B")
 
 @dataclass(frozen=True)
 class SurveyFixture:
-    """Paths of the written files plus the exact per-group samples."""
+    """Paths of the written files plus each group's exact count table."""
 
     responses_path: str
     respondents_path: str
     question_ids: tuple[str, ...]
-    samples: dict[tuple[str, str], SampleSet]  # (question_id, group value)
+    samples: dict[tuple[str, str], np.ndarray]  # (question_id, group value)
 
 
 def generate_two_group_survey(
@@ -58,16 +60,16 @@ def generate_two_group_survey(
         for i in range(n_per_group):
             respondent_rows.append((f"{prefix}{i + 1:04d}", value))
 
-    samples: dict[tuple[str, str], SampleSet] = {}
+    samples: dict[tuple[str, str], np.ndarray] = {}
     response_rows = []
     for qi, qid in enumerate(question_ids):
         for value, prefix, group_model in groups:
-            drawn = draw_samples(
+            choices, bins = _draw_answers(
                 group_model, n_per_group, root.spawn("question", qi, value)
             )
             ids = [f"{prefix}{i + 1:04d}" for i in range(n_per_group)]
-            samples[(qid, value)] = drawn
-            for rid, choice, b in zip(ids, drawn.choices.tolist(), drawn.bins.tolist()):
+            samples[(qid, value)] = _count_table(group_model.n_choices, choices, bins)
+            for rid, choice, b in zip(ids, choices.tolist(), bins.tolist()):
                 response_rows.append((rid, qid, CHOICE_LABELS[choice], b * _PCT_STEP))
 
     responses_path = os.path.join(out_dir, "responses.csv")

@@ -3,9 +3,10 @@
 Data arrives as two CSV files: one row per (respondent, question) answer
 and one row per respondent with side-question attributes.  Answers pair a
 choice label with a prediction percent on the 0/10/.../100 grid.  The
-analyzer turns a question's filtered answers into a sample set, scores it
-with a variety metric and the choice-unbalance baseline, and compares two
-respondent groups at equal size via without-replacement subsampling.
+analyzer counts a question's filtered answers into a (choice, prediction
+bin) count table, scores it with a variety metric and the choice-unbalance
+baseline, and compares two respondent groups at equal size via
+without-replacement subsampling.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .distributions import _PCT_STEP, _count_table
 from .divergence import DivergenceKind, TVD, baseline
 from .errors import (
     ConfigError,
@@ -30,10 +32,7 @@ from .errors import (
 )
 from .estimation import (
     DEFAULT_SUBSAMPLE_TRIALS,
-    N_PREDICTION_BINS,
-    _PCT_STEP,
     GroupComparison,
-    SampleSet,
     _group_varieties,
     _trial_count,
     empirical_joint,
@@ -423,12 +422,14 @@ def extract_samples(
     dataset: SurveyDataset,
     question_id: str,
     respondent_filter: RespondentFilter | None = None,
-) -> SampleSet:
-    """Sample set of one question's answers from the filtered respondents.
+) -> np.ndarray:
+    """``(n_choices, 11)`` count table of one question's answers from the
+    filtered respondents: entry (c, b) counts choice ``options[c]`` with
+    prediction bin b.
 
     :func:`load_survey` rejects a second answer to a question, so each
-    observation is a distinct respondent and group comparisons can
-    subsample answers.
+    answer is a distinct respondent, the table's total is the respondent
+    count, and group comparisons can subsample answers.
     """
     question = dataset.question(question_id)
     responses = dataset.responses
@@ -446,12 +447,7 @@ def extract_samples(
             f"question {question_id!r} has one choice label, "
             f"{question.options[0]!r}; a variety needs at least 2"
         )
-    return SampleSet(
-        n_choices=question.n_choices,
-        n_bins=N_PREDICTION_BINS,
-        choices=rows[:, 2],
-        bins=rows[:, 3],
-    )
+    return _count_table(question.n_choices, rows[:, 2], rows[:, 3])
 
 
 @dataclass(frozen=True)
@@ -599,11 +595,11 @@ def analyze(
     filters = (filter_a,) if filter_b is None else (filter_a, filter_b)
     blocks: list[list[QuestionReport]] = [[] for _ in kinds]
     for qid in question_ids:
-        samples = [extract_samples(dataset, qid, f) for f in filters]
-        tables = np.stack([s.count_table() for s in samples])
+        tables = np.stack([extract_samples(dataset, qid, f) for f in filters])
         scored = _group_varieties(tables, kinds, trials, stream.spawn("q", qid))
-        bases = [baseline(empirical_joint(s)) if s.n_choices == 2 else None for s in samples]
+        sizes = [int(t.sum()) for t in tables]
+        bases = [baseline(empirical_joint(t)) if t.shape[0] == 2 else None for t in tables]
         for block, kind, (fulls, comparison) in zip(blocks, kinds, scored):
-            groups = tuple(map(GroupReport, map(len, samples), fulls.tolist(), bases))
+            groups = tuple(map(GroupReport, sizes, fulls.tolist(), bases))
             block.append(QuestionReport(qid, kind.name, groups, comparison))
     return AnalysisReport(tuple(row for block in blocks for row in block), len(filters))

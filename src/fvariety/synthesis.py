@@ -7,7 +7,8 @@ uninformative.  The two are mixed with ratio ``nonexpert_ratio``.
 
 The module provides three views of the same model:
 
-* ``draw_samples``        - finite samples, predictions snapped to 11 bins
+* ``draw_samples``        - count tables of finite samples, predictions
+  snapped to 11 bins
 * ``exact_discretized_joint`` - the infinite-sample limit of those histograms
 * ``continuous_f_variety``    - the un-binned metric, by adaptive quadrature
 
@@ -18,7 +19,9 @@ quadrature whose integrand computes the densities once per call and
 scores every kind on them, pairs them with the discretized values and
 checks the two against each other.
 ``continuous_f_variety``, the one public entry point, is its one-kind
-form.
+form.  ``_draw_answers`` gives the answers behind a drawn table, one per
+respondent; only the fixture generator, which writes them as CSV rows,
+needs them.
 """
 
 from __future__ import annotations
@@ -29,10 +32,17 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .distributions import JointDistribution, _json_number, _shape_count
+from .distributions import (
+    BIN_EDGES,
+    N_PREDICTION_BINS,
+    JointDistribution,
+    _count_table,
+    _discretize_array,
+    _json_number,
+    _shape_count,
+)
 from .divergence import DivergenceKind, _variety_stack, pointwise_contributions
 from .errors import BadShape, BadWeights, DomainError, QuadratureFailure
-from .estimation import N_PREDICTION_BINS, SampleSet
 from .quadrature import ROOT_TOL, adaptive_quadrature, find_sign_changes
 from .sampling import RandomStream
 from .special import _beta_pdf_rows, regularized_incomplete_beta
@@ -40,12 +50,6 @@ from .special import _beta_pdf_rows, regularized_incomplete_beta
 # Absolute tolerance of every continuous model value.
 QUADRATURE_TOL = 1e-8
 _SMALLEST_SUBNORMAL = math.ulp(0.0)
-
-# Half-up binning to the options {0%, 10%, ..., 100%}: edges at 0.05, ..., 0.95.
-_GRID_STEPS = N_PREDICTION_BINS - 1
-BIN_EDGES = np.concatenate(
-    ([0.0], np.arange(_GRID_STEPS) / _GRID_STEPS + 0.5 / _GRID_STEPS, [1.0])
-)
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,6 @@ def get_preset(name: str) -> PopulationModel:
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise DomainError(f"unknown preset {name!r}; known: {known}") from None
-
-
-def _discretize_array(x: np.ndarray) -> np.ndarray:
-    """Snap predictions in [0, 1] to the nearest of the 11 options, half-up."""
-    return np.floor(_GRID_STEPS * x + 0.5).astype(np.intp)
 
 
 def _choice_rows(model: PopulationModel, rows: np.ndarray) -> np.ndarray:
@@ -304,15 +303,11 @@ def continuous_f_variety(
     return _model_varieties(model, (kind,), tol)[1][0]
 
 
-def draw_samples(
+def _draw_answers(
     model: PopulationModel, n: int, stream: RandomStream
-) -> SampleSet:
-    """n independent respondents from the model, predictions discretized.
-
-    Each respondent is a non-expert with probability ``nonexpert_ratio``
-    (uniform choice, shared Beta prediction), otherwise an expert (choice
-    by weight, per-choice Beta prediction).
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Choice indices and prediction bins of the n respondents that
+    :func:`draw_samples` counts, one entry each, in draw order."""
     n = _shape_count("sample size", n)
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -333,10 +328,17 @@ def draw_samples(
         mask = (~is_noise) & (choices == c)
         params = model.expert_prediction[c]
         predictions[mask] = rng.beta(params.alpha, params.beta, size=int(mask.sum()))
+    return choices, _discretize_array(predictions)
 
-    return SampleSet(
-        n_choices=model.n_choices,
-        n_bins=N_PREDICTION_BINS,
-        choices=choices,
-        bins=_discretize_array(predictions),
-    )
+
+def draw_samples(
+    model: PopulationModel, n: int, stream: RandomStream
+) -> np.ndarray:
+    """``(n_choices, 11)`` count table of n independent respondents from
+    the model, predictions discretized; its cells sum to n.
+
+    Each respondent is a non-expert with probability ``nonexpert_ratio``
+    (uniform choice, shared Beta prediction), otherwise an expert (choice
+    by weight, per-choice Beta prediction).
+    """
+    return _count_table(model.n_choices, *_draw_answers(model, n, stream))

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "PopulationModel",
     "RandomStream",
     "RespondentFilter",
-    "SampleSet",
     "SweepConfig",
     "TVD",
     "analyze",

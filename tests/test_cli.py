@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fvariety import cli
 from fvariety.cli import main
 from fvariety.fixtures import generate_two_group_survey
 
@@ -41,6 +42,21 @@ class TestCompute:
                      "--divergence", "tvd,pearson"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["tvd 0.5", "pearson 1"]
+
+    def test_one_kernel_call_scores_every_kind(self, joint_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(mass, kinds):
+            calls.append([kind.name for kind in kinds])
+            return original(mass, kinds)
+
+        original = cli._variety_stack
+        monkeypatch.setattr(cli, "_variety_stack", counted)
+        assert main(["compute", "--joint", joint_path,
+                     "--divergence", "tvd,kl,pearson,hellinger"]) == 0
+        assert calls == [["tvd", "kl", "pearson", "hellinger"]]
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["tvd", "kl", "pearson", "hellinger"]
 
     def test_missing_file_exits_3(self, capsys):
         assert main(["compute", "--joint", "/no/such/file.json"]) == 3

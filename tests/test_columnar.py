@@ -1,9 +1,9 @@
-"""Columnar samples and the stacked variety kernel against the tuple-era code.
+"""Count tables and the stacked variety kernel against the tuple-era code.
 
 The reference functions below restate the per-observation implementation
-that preceded ``SampleSet``'s array columns.  The variety kernel must
-reproduce its arithmetic bit for bit; subsample count tables, drawn whole
-rather than answer by answer, must follow the same law as its picks.
+that preceded count tables.  The variety kernel must reproduce its
+arithmetic bit for bit; subsample count tables, drawn whole rather than
+answer by answer, must follow the same law as its picks.
 """
 
 import json
@@ -23,8 +23,9 @@ from fvariety import (
     JointDistribution,
     RandomStream,
     RespondentFilter,
-    SampleSet,
     analyze,
+    compare_groups_equalized,
+    empirical_joint,
     load_survey,
     uninformative_projection,
 )
@@ -53,17 +54,17 @@ def reference_f_variety(dist: JointDistribution, kind) -> float:
     )
 
 
-def reference_subsampled_values(samples, size, kind, trials, stream):
+def reference_subsampled_values(sample, size, kind, trials, stream):
     """``np.add.at`` over the picked observations, one table at a time."""
+    n_choices, choices, bins = sample
     values = np.empty(trials)
     for t in range(trials):
         rng = stream.spawn("subsample-trial", t).generator
-        idx = rng.choice(len(samples), size=size, replace=False)
-        counts = np.zeros((samples.n_choices, samples.n_bins))
-        np.add.at(counts, (samples.choices[idx], samples.bins[idx]), 1.0)
+        idx = rng.choice(len(choices), size=size, replace=False)
+        counts = np.zeros((n_choices, 11))
+        np.add.at(counts, (choices[idx], bins[idx]), 1.0)
         dist = JointDistribution(
-            n_choices=samples.n_choices, n_bins=samples.n_bins,
-            mass=counts / counts.sum(),
+            n_choices=n_choices, n_bins=11, mass=counts / counts.sum()
         )
         values[t] = reference_f_variety(dist, kind)
     return values
@@ -365,14 +366,22 @@ def test_mass_stack_equals_per_table_variety(
 
 
 def answers(n_choices, unchosen_option, seed):
-    """120 answers; with ``unchosen_option`` nobody picks the last choice."""
+    """(n_choices, choices, bins) of 120 answers; with ``unchosen_option``
+    nobody picks the last choice."""
     rng = np.random.default_rng(seed)
-    return SampleSet(
-        n_choices=n_choices,
-        n_bins=11,
-        choices=rng.integers(0, n_choices - unchosen_option, size=120),
-        bins=rng.integers(0, 11, size=120),
+    return (
+        n_choices,
+        rng.integers(0, n_choices - unchosen_option, size=120),
+        rng.integers(0, 11, size=120),
     )
+
+
+def count_table(sample):
+    """The (n_choices, 11) count table of ``answers``' output, by ``np.add.at``."""
+    n_choices, choices, bins = sample
+    table = np.zeros((n_choices, 11), dtype=np.intp)
+    np.add.at(table, (choices, bins), 1)
+    return table
 
 
 @pytest.mark.parametrize("kind_name", KINDS)
@@ -383,16 +392,17 @@ def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_op
     # label: that choice row of every table, full-size ones too, is empty
     kind = BUILTIN_KINDS[kind_name]
     samples = answers(3, unchosen_option, 404)
+    table = count_table(samples)
     for size in (17, 60):
         got = _count_varieties(
-            _subsample_tables(samples.count_table(), size, 1000, RandomStream(9)), [kind]
+            _subsample_tables(table, size, 1000, RandomStream(9)), [kind]
         )[0]
         want = reference_subsampled_values(samples, size, kind, 1000, RandomStream(10))
         assert ks_2samp(got, want).pvalue > KS_ALPHA
     # a full-size subsample is the group itself, in every trial
-    size = len(samples)
+    size = int(table.sum())
     got = _count_varieties(
-        _subsample_tables(samples.count_table(), size, 40, RandomStream(9)), [kind]
+        _subsample_tables(table, size, 40, RandomStream(9)), [kind]
     )[0]
     want = reference_subsampled_values(samples, size, kind, 40, RandomStream(10))
     np.testing.assert_array_equal(got, want)
@@ -403,12 +413,12 @@ def test_unit_matrix_subsampling_matches_add_at_reference(kind_name, unchosen_op
 def test_subsample_tables_follow_the_law_of_the_reference(n_choices, size):
     trials = 2000
     samples = answers(n_choices, False, 405)
-    table = samples.count_table()
+    table = count_table(samples)
     tables = _subsample_tables(table, size, trials, RandomStream(31))
     want = reference_subsampled_values(samples, size, TVD, trials, RandomStream(32))
     assert ks_2samp(_count_varieties(tables, [TVD])[0], want).pvalue > KS_ALPHA
     # hypergeometric cell means and variances
-    total = len(samples)
+    total = int(table.sum())
     share = table / total
     var = size * share * (1 - share) * (total - size) / (total - 1)
     gap = np.abs(tables.mean(axis=0) - size * share)
@@ -417,7 +427,7 @@ def test_subsample_tables_follow_the_law_of_the_reference(n_choices, size):
 
 @pytest.mark.parametrize("unchosen_option", [True, False])
 def test_subsample_tables_sum_to_size_within_the_group(unchosen_option):
-    table = answers(3, unchosen_option, 406).count_table()
+    table = count_table(answers(3, unchosen_option, 406))
     total = int(table.sum())
     for size in (1, 17, total - 1, total):
         tables = _subsample_tables(table, size, 300, RandomStream(size))
@@ -429,30 +439,23 @@ def test_subsample_tables_sum_to_size_within_the_group(unchosen_option):
 
 
 @pytest.mark.parametrize(
-    "choices, bins, match",
+    "table, match",
     [
-        ([0, 2], [0, 0], "choice 2"),
-        ([0, -1], [0, 0], "choice -1"),
-        ([0, 1], [11, 0], "prediction bin 11"),
-        ([0, 1], [0, -3], "prediction bin -3"),
-        ([0, 1], [0], "2 choices but 1"),
-        # non-integer columns are refused, not truncated or cast
-        ([0.9, 1.7], [3.2, 10.99], "choices must be integers, got dtype float64"),
-        ([0, 1], [3.2, 10.99], "bins must be integers, got dtype float64"),
-        ([True], [0], "choices must be integers, got dtype bool"),
-        ([0], [False], "bins must be integers, got dtype bool"),
-        ([float("nan")], [0], "choices must be integers"),
+        # non-integer tables are refused, not truncated or cast
+        ([[0.9, 1.7], [3.2, 10.99]], "must be integers, got dtype float64"),
+        ([[True], [False]], "must be integers, got dtype bool"),
+        ([[float("nan")], [1.0]], "must be integers, got dtype float64"),
+        ([[0, 2], [-1, 0]], "negative cell, -1"),
+        # a table is (choices, bins), with 2 choices and 1 bin at least
+        ([3, 1], r"shape \(2,\)"),
+        ([[3, 1]], r"shape \(1, 2\)"),
+        (np.ones((2, 0), dtype=int), r"shape \(2, 0\)"),
+        (np.ones((1, 2, 11), dtype=int), r"shape \(1, 2, 11\)"),
     ],
+    ids=["float", "bool", "nan", "negative", "1-d", "one-choice", "no-bins", "3-d"],
 )
-def test_out_of_range_columns_raise_bad_shape(choices, bins, match):
+def test_malformed_tables_raise_bad_shape(table, match):
     with pytest.raises(BadShape, match=match):
-        SampleSet(n_choices=2, n_bins=11, choices=choices, bins=bins)
-
-
-def test_columns_are_read_only_copies():
-    choices = np.array([0, 1, 1])
-    samples = SampleSet(n_choices=2, n_bins=2, choices=choices, bins=[0, 0, 1])
-    choices[0] = 1
-    assert samples.choices[0] == 0
-    with pytest.raises(ValueError):
-        samples.bins[0] = 1
+        empirical_joint(table)
+    with pytest.raises(BadShape, match=match):
+        compare_groups_equalized([[1], [1]], table, TVD)

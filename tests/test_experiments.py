@@ -178,7 +178,7 @@ class TestSampleTables:
         tables = _sample_tables(mass, n, self.TRIALS, RandomStream(21))
         root = RandomStream(22)
         oracle = np.stack([
-            draw_samples(model, n, root.spawn("oracle", t)).count_table()
+            draw_samples(model, n, root.spawn("oracle", t))
             for t in range(self.TRIALS)
         ])
         assert tables.shape == oracle.shape

@@ -16,7 +16,6 @@ from fvariety import (
     RespondentFilter,
     TVD,
     analyze,
-    empirical_joint,
     extract_samples,
     load_survey,
 )
@@ -66,9 +65,10 @@ class TestLoadSurvey:
         assert [q.question_id for q in dataset.questions] == ["Q1"]
         assert dataset.questions[0].options == ("cat", "dog")
         assert len(dataset.respondents) == 3
-        samples = extract_samples(dataset, "Q1")
-        assert len(samples) == 3
-        assert samples.bins[0] == 7
+        table = extract_samples(dataset, "Q1")
+        assert table.shape == (2, 11) and table.sum() == 3
+        # r1 and r2 chose cat at 70% and 60%, r3 dog at 30%
+        assert table[0, 7] == table[0, 6] == table[1, 3] == 1
 
     def test_prediction_off_grid_rejected(self, tmp_path):
         paths = write_survey(tmp_path, ["r1,Q1,cat,55"], ["r1,yes"])
@@ -235,12 +235,12 @@ class TestFilters:
 
     def test_filtering_observations(self, tiny_survey):
         dataset = load_survey(*tiny_survey)
-        samples = extract_samples(
+        table = extract_samples(
             dataset, "Q1", RespondentFilter.parse("watches=yes")
         )
         # r1 and r2 watch; r3's dog at 30% is filtered out
-        assert len(samples) == len({"r1", "r2"})
-        assert samples.bins.tolist() == [7, 6]
+        assert table.sum() == len({"r1", "r2"})
+        assert np.flatnonzero(table).tolist() == [6, 7]
 
     def test_absent_attribute_rejected(self, tiny_survey):
         dataset = load_survey(*tiny_survey)
@@ -464,10 +464,7 @@ class TestFixtureGenerator:
                 loaded = extract_samples(
                     dataset, qid, RespondentFilter.parse(flt)
                 )
-                generated = fixture.samples[(qid, value)]
-                np.testing.assert_array_equal(
-                    empirical_joint(loaded).mass, empirical_joint(generated).mass
-                )
+                np.testing.assert_array_equal(loaded, fixture.samples[(qid, value)])
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         a = generate_two_group_survey(str(tmp_path / "a"), seed=9, n_per_group=10,
@@ -595,12 +592,14 @@ def test_extract_samples_matches_row_by_row_reference(survey):
                     extract_samples(dataset, qid, flt)
                 continue
             options, choices, bins, ids = want
-            samples = extract_samples(dataset, qid, flt)
+            table = extract_samples(dataset, qid, flt)
             assert dataset.question(qid).options == options
-            assert samples.choices.tolist() == choices
-            assert samples.bins.tolist() == bins
+            reference = np.zeros((len(options), 11), dtype=np.intp)
+            np.add.at(reference, (choices, bins), 1)
+            assert table.shape == reference.shape
+            assert table.tolist() == reference.tolist()
             # one answer per respondent: each observation is a distinct one
-            assert len(samples) == len(set(ids))
+            assert table.sum() == len(set(ids))
 
 
 # --- differential test against the row-at-a-time loader -------------------

@@ -23,7 +23,7 @@ from fvariety import (
 )
 from fvariety.errors import BadShape, BadWeights, DomainError
 from fvariety.special import regularized_incomplete_beta
-from fvariety.synthesis import BIN_EDGES, N_PREDICTION_BINS, _discretize_array
+from fvariety.distributions import BIN_EDGES, N_PREDICTION_BINS, _discretize_array
 
 ALL_KINDS = (TVD, KL, PEARSON, HELLINGER)
 
@@ -225,15 +225,14 @@ class TestContinuousVariety:
 class TestDrawSamples:
     def test_expert_choice_frequencies(self):
         samples = draw_samples(get_preset("uniform-1"), 1000, RandomStream(3))
-        freq = int(np.sum(samples.choices == 0)) / 1000
+        freq = int(samples[0].sum()) / 1000
         assert abs(freq - 0.5) < 0.05
 
     def test_replay_identical(self):
         model = get_preset("uniform-1").with_ratio(0.5)
         a = draw_samples(model, 4, RandomStream(9, 2))
         b = draw_samples(model, 4, RandomStream(9, 2))
-        assert np.array_equal(a.choices, b.choices)
-        assert np.array_equal(a.bins, b.bins)
+        assert np.array_equal(a, b)
 
     def test_bin_frequencies_match_exact_joint(self):
         # pure-noise model so every draw comes from the shared density
@@ -256,9 +255,9 @@ class TestDrawSamples:
 
     def test_sample_set_shape(self):
         samples = draw_samples(get_preset("uniform-2"), 50, RandomStream(1))
-        assert samples.n_choices == 2
-        assert samples.n_bins == N_PREDICTION_BINS
-        assert len(samples) == 50
+        assert samples.shape == (2, N_PREDICTION_BINS)
+        assert np.issubdtype(samples.dtype, np.integer)
+        assert samples.sum() == 50
 
 
 class TestRandomStream:
@@ -311,7 +310,7 @@ class TestThreeChoiceModel:
     def test_sampling_and_mixing(self, model):
         mixed = model.with_ratio(0.5)
         samples = draw_samples(mixed, 5000, RandomStream(19))
-        assert samples.n_choices == 3
+        assert samples.shape == (3, N_PREDICTION_BINS)
         value = f_variety(empirical_joint(samples), TVD)
         exact = f_variety(exact_discretized_joint(mixed), TVD)
         assert abs(value - exact) < 0.1
