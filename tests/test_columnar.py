@@ -443,7 +443,9 @@ def test_subsample_tables_sum_to_size_within_the_group(unchosen_option):
     [
         # non-integer tables are refused, not truncated or cast
         ([[0.9, 1.7], [3.2, 10.99]], "must be integers, got dtype float64"),
+        ([[0, 1], [3.2, 10.99]], "must be integers, got dtype float64"),
         ([[True], [False]], "must be integers, got dtype bool"),
+        ([[False], [False]], "must be integers, got dtype bool"),
         ([[float("nan")], [1.0]], "must be integers, got dtype float64"),
         ([[0, 2], [-1, 0]], "negative cell, -1"),
         # a table is (choices, bins), with 2 choices and 1 bin at least
@@ -452,7 +454,7 @@ def test_subsample_tables_sum_to_size_within_the_group(unchosen_option):
         (np.ones((2, 0), dtype=int), r"shape \(2, 0\)"),
         (np.ones((1, 2, 11), dtype=int), r"shape \(1, 2, 11\)"),
     ],
-    ids=["float", "bool", "nan", "negative", "1-d", "one-choice", "no-bins", "3-d"],
+    ids=["float", "float-row", "bool", "bool-zeros", "nan", "negative", "1-d", "one-choice", "no-bins", "3-d"],
 )
 def test_malformed_tables_raise_bad_shape(table, match):
     with pytest.raises(BadShape, match=match):
